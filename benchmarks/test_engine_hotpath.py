@@ -1,4 +1,4 @@
-"""Whole-run engine hot-path benchmarks (the BENCH_engine.json companions).
+"""Whole-run kernel hot-path microbenchmarks.
 
 Where ``test_engine_microbench.py`` times isolated substrate pieces, these
 measure the paths the run-loop turbocharge targeted, at whole-run or

@@ -3,7 +3,8 @@
 Everything in this package is *opt-in observability* — instrumentation that
 watches a run without changing what is simulated.  It is wired through the
 ``observability`` scenario slot (default ``null``: zero instrumentation,
-event-schedule bit-identical, guarded by ``tools/bench_obs.py``):
+event-schedule bit-identical, guarded by
+``tests/obs/test_obs_null_identity.py``):
 
 * :mod:`repro.obs.sinks` — streaming trace sinks.  A
   :class:`~repro.obs.sinks.JsonlSink` attached to a

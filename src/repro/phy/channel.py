@@ -58,22 +58,9 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   entries are cached with an ``exact=False`` flag and upgraded on demand).
   Scheduling happens in a second pass, strictly in attach order, so event
   sequence numbers — and with them same-time tie-breaking — are untouched.
-
-* **Struct-of-arrays (SoA) fan-out** (``fanout="soa"``).  When the
-  propagation model advertises ``bulk_exact = True`` (its bulk gains are
-  bit-identical to the scalar path — see ``repro.phy.propagation``), the
-  per-transmit fan-out over an all-static candidate block collapses into
-  one vectorised numpy pass: block positions are mirrored into flat
-  coordinate arrays (memoised per 3×3 block, invalidated with the block
-  cache), distances come from ``sqrt(dx²+dy²)`` on the arrays, received
-  powers from ``tx_power * gain_at_many(d)``, and the survivor mask from a
-  single floor comparison.  Because every operation is the same sequence
-  of correctly-rounded IEEE-754 ops the scalar loop performs, the
-  scheduled times and powers are bit-identical — this is a *full
-  scheduled-power* path, not cull-only.  Blocks containing any mobile
-  radio (or fewer than ``_SOA_MIN`` candidates) fall back to the scalar
-  paths above; models without ``bulk_exact`` (e.g. log-distance shadowing)
-  never take the SoA path at all, keeping its exactness story absolute.
+* **Static replay.**  In an all-static world (``max_speed_mps == 0``) the
+  survivor list of each ``(source, tx power)`` is computed once through
+  the scalar path and replayed on every later transmit.
 
 All paths produce bit-identical event schedules (same times, powers and
 tie-breaking order — candidates are visited in attach order); the
@@ -119,12 +106,6 @@ _BATCH_MIN_MISSES = 24
 _BATCH_PROBE_LINKS = 4096
 _BATCH_MIN_CULL_NUM = 1
 _BATCH_MIN_CULL_DEN = 4
-
-#: Minimum candidates in a block before the SoA fan-out pays for itself;
-#: below this the scalar loop's per-candidate cost beats the numpy call
-#: overhead (same crossover territory as ``_BATCH_MIN_MISSES`` but the SoA
-#: pass replaces the whole loop, so the bar is higher).
-_SOA_MIN = 64
 
 #: Upper bound on memoised static fan-outs (keys are ``(src_seq,
 #: tx_power)``, so continuous-power protocols could otherwise grow the
@@ -196,11 +177,6 @@ class Channel:
         max_speed_mps: upper bound on any attached radio's speed; pads the
             cell size so grid staleness can never miss a reachable radio.
         reindex_interval_s: maximum grid staleness for mobile radios.
-        fanout: ``"scalar"`` (default) or ``"soa"``.  ``"soa"`` enables the
-            vectorised struct-of-arrays pass (see module docs); it only
-            engages when the spatial index is active *and* the propagation
-            model is ``bulk_exact``, falling back to the scalar paths
-            otherwise, so the event schedule is bit-identical either way.
     """
 
     def __init__(
@@ -215,10 +191,7 @@ class Channel:
         max_tx_power_w: float | None = None,
         max_speed_mps: float = 0.0,
         reindex_interval_s: float = 1.0,
-        fanout: str = "scalar",
     ) -> None:
-        if fanout not in ("scalar", "soa"):
-            raise ValueError(f"unknown fanout {fanout!r} (expected 'scalar' or 'soa')")
         if interference_floor_w <= 0:
             raise ValueError("interference_floor_w must be positive")
         self.sim = sim
@@ -265,10 +238,6 @@ class Channel:
         #: ``[(rx, rx_power, delay), ...]`` list (attach order).  Any attach
         #: or detach invalidates the whole cache.
         self._static_fanouts: dict[tuple[int, float], list] = {}
-        #: SoA mirror of ``_blocks``: block key → (xs, ys, seqs, radios)
-        #: arrays in attach order, or None when the block is ineligible
-        #: (too small / contains a mobile radio).  Cleared with ``_blocks``.
-        self._soa_arrays: dict[tuple[int, int], tuple | None] = {}
         self._max_speed_mps = max_speed_mps
         self._reindex_interval_s = reindex_interval_s
         self._reindex_due_at = math.inf
@@ -285,24 +254,11 @@ class Channel:
             self._cell_size = reach + max_speed_mps * reindex_interval_s
             if max_speed_mps > 0:
                 self._reindex_due_at = 0.0  # refresh on the first transmit
-        self._fanout = fanout
-        #: SoA engages only where exactness is provable: indexed fan-out +
-        #: a propagation model whose bulk path is bit-identical.
-        self._soa_ok = (
-            fanout == "soa"
-            and self._cell_size is not None
-            and getattr(propagation, "bulk_exact", False)
-        )
 
     @property
     def spatial_index(self) -> bool:
         """Whether the grid-indexed fan-out is active."""
         return self._cell_size is not None
-
-    @property
-    def fanout(self) -> str:
-        """The requested fan-out strategy: ``"scalar"`` or ``"soa"``."""
-        return self._fanout
 
     @property
     def cell_size_m(self) -> float | None:
@@ -368,7 +324,6 @@ class Channel:
             if entry.cell is not None:
                 self._cells[entry.cell].remove(entry)
             self._blocks.clear()
-            self._soa_arrays.clear()
             self._static_fanouts.clear()
             seq = entry.seq
             self._gains.pop(seq, None)
@@ -390,7 +345,6 @@ class Channel:
         bucket.append(entry)
         entry.cell = cell
         self._blocks.clear()
-        self._soa_arrays.clear()
 
     def _reindex(self, now: float) -> None:
         """Re-bucket every radio from a fresh position sample.
@@ -423,29 +377,6 @@ class Channel:
             candidates.sort(key=_entry_seq)
             self._blocks[block_key] = candidates
         return candidates
-
-    def _soa_block(self, block_key: tuple[int, int]) -> tuple | None:
-        """SoA arrays ``(xs, ys, seqs, radios)`` for one block, or None.
-
-        None marks the block ineligible: smaller than ``_SOA_MIN`` or
-        containing a mobile radio (whose position the flat arrays could not
-        track).  The verdict is memoised alongside ``_blocks`` and cleared
-        with it on any grid mutation.
-        """
-        if block_key in self._soa_arrays:
-            return self._soa_arrays[block_key]
-        candidates = self._block_candidates(block_key)
-        n = len(candidates)
-        if n < _SOA_MIN or not all(c.static for c in candidates):
-            self._soa_arrays[block_key] = None
-            return None
-        xs = np.fromiter((c.pos[0] for c in candidates), dtype=float, count=n)
-        ys = np.fromiter((c.pos[1] for c in candidates), dtype=float, count=n)
-        seqs = [c.seq for c in candidates]
-        radios = [c.radio for c in candidates]
-        soa = (xs, ys, seqs, radios)
-        self._soa_arrays[block_key] = soa
-        return soa
 
     def _build_static_fanout(
         self, entry: _RadioEntry, tx_power: float
@@ -511,42 +442,6 @@ class Channel:
             out.append((rx, rx_power, delay))
         return out
 
-    def _build_static_fanout_soa(
-        self, entry: _RadioEntry, tx_power: float
-    ) -> list[tuple[Radio, float, float]]:
-        """Vectorised :meth:`_build_static_fanout`, bit-identical output.
-
-        One numpy pass over the block's SoA arrays replaces the scalar
-        per-candidate loop: ``d = sqrt(dx²+dy²)`` mirrors :func:`distance`
-        op-for-op, ``gain_at_many`` is ``bulk_exact`` (the caller checked),
-        and the survivor filter ``tx_power * gain >= floor`` is the scalar
-        cull's exact complement.  Survivor indices come back in attach
-        order because the SoA arrays are built from the attach-ordered
-        block.  Values are converted to Python floats before they can reach
-        a scheduled event (numpy scalars would leak into results and break
-        JSON serialisation).  Falls back to the scalar builder for
-        ineligible blocks.
-        """
-        soa = self._soa_block(entry.cell)
-        if soa is None:
-            return self._build_static_fanout(entry, tx_power)
-        xs, ys, seqs, radios = soa
-        sx, sy = entry.pos
-        dx = xs - sx
-        dy = ys - sy
-        dists = np.sqrt(dx * dx + dy * dy)
-        rx_powers = tx_power * self.propagation.gain_at_many(dists)
-        survivors = np.nonzero(rx_powers >= self.interference_floor_w)[0]
-        model_delay = self.model_propagation_delay
-        src_seq = entry.seq
-        out: list[tuple[Radio, float, float]] = []
-        for i in survivors.tolist():
-            if seqs[i] == src_seq:
-                continue
-            delay = float(dists[i]) / SPEED_OF_LIGHT if model_delay else 0.0
-            out.append((radios[i], float(rx_powers[i]), delay))
-        return out
-
     # ------------------------------------------------------------------ TX
 
     def transmit(self, src: Radio, frame: PhyFrame) -> None:
@@ -585,7 +480,6 @@ class Channel:
                 args=(frame, rx_power),
                 priority=1,
                 label="phy.sig_start",
-                transient=True,
             )
             sim.schedule(
                 now + delay + duration,
@@ -593,52 +487,7 @@ class Channel:
                 args=(frame.frame_id,),
                 priority=0,
                 label="phy.sig_end",
-                transient=True,
             )
-
-    def _fanout_soa(self, entry: _RadioEntry, frame: PhyFrame, now: float) -> bool:
-        """Vectorised per-transmit fan-out for a static source.
-
-        One numpy pass over the block's SoA arrays computes every
-        candidate's distance, gain and received power, then schedules edges
-        only for the survivors — bit-identical to the scalar loop for the
-        same reasons as :meth:`_build_static_fanout_soa` (which shares the
-        arithmetic).  Returns False when the block is ineligible (caller
-        falls through to the scalar/batch paths).  Note the per-link gain
-        cache is neither read nor written here: at SoA block sizes the
-        single vectorised recompute beats a warm per-candidate dict walk,
-        and skipping the cache keeps mixed worlds (this source static,
-        another mobile) coherent for the scalar paths.
-        """
-        soa = self._soa_block(entry.cell)
-        if soa is None:
-            return False
-        xs, ys, seqs, radios = soa
-        sx, sy = entry.pos
-        dx = xs - sx
-        dy = ys - sy
-        dists = np.sqrt(dx * dx + dy * dy)
-        rx_powers = frame.tx_power_w * self.propagation.gain_at_many(dists)
-        survivors = np.nonzero(rx_powers >= self.interference_floor_w)[0]
-        model_delay = self.model_propagation_delay
-        src_seq = entry.seq
-        duration = frame.duration_s
-        frame_id = frame.frame_id
-        schedule = self.sim.schedule
-        for i in survivors.tolist():
-            if seqs[i] == src_seq:
-                continue
-            rx = radios[i]
-            delay = float(dists[i]) / SPEED_OF_LIGHT if model_delay else 0.0
-            t = now + delay
-            schedule(
-                t, rx.signal_start, 1, "phy.sig_start",
-                (frame, float(rx_powers[i])), True,
-            )
-            schedule(
-                t + duration, rx.signal_end, 0, "phy.sig_end", (frame_id,), True,
-            )
-        return True
 
     def _fanout_indexed(self, src: Radio, frame: PhyFrame) -> None:
         """Grid-indexed fan-out with epoch-cached, batch-culled gains.
@@ -670,10 +519,7 @@ class Channel:
                 fanouts = self._static_fanouts
                 hits = fanouts.get(key)
                 if hits is None:
-                    if self._soa_ok:
-                        hits = self._build_static_fanout_soa(entry, frame.tx_power_w)
-                    else:
-                        hits = self._build_static_fanout(entry, frame.tx_power_w)
+                    hits = self._build_static_fanout(entry, frame.tx_power_w)
                     if len(fanouts) >= _STATIC_FANOUT_CAP:
                         fanouts.clear()
                     fanouts[key] = hits
@@ -682,14 +528,8 @@ class Channel:
                 schedule = sim.schedule
                 for rx, rx_power, delay in hits:
                     t = now + delay
-                    schedule(
-                        t, rx.signal_start, 1, "phy.sig_start", (frame, rx_power),
-                        True,
-                    )
-                    schedule(
-                        t + duration, rx.signal_end, 0, "phy.sig_end", (frame_id,),
-                        True,
-                    )
+                    schedule(t, rx.signal_start, 1, "phy.sig_start", (frame, rx_power))
+                    schedule(t + duration, rx.signal_end, 0, "phy.sig_end", (frame_id,))
                 return
         if now >= self._reindex_due_at:
             self._reindex(now)
@@ -699,8 +539,6 @@ class Channel:
             if entry.static:
                 src_pos = entry.pos
                 src_epoch = entry.epoch
-                if self._soa_ok and self._fanout_soa(entry, frame, now):
-                    return
             else:
                 src_pos, src_epoch = entry.poll(now)
                 self._move_to_cell(entry, src_pos)
@@ -779,7 +617,6 @@ class Channel:
                     args=(frame, rx_power),
                     priority=1,
                     label="phy.sig_start",
-                    transient=True,
                 )
                 schedule(
                     now + delay + duration,
@@ -787,7 +624,6 @@ class Channel:
                     args=(frame_id,),
                     priority=0,
                     label="phy.sig_end",
-                    transient=True,
                 )
             return
 
@@ -871,7 +707,6 @@ class Channel:
                 args=(frame, rx_power),
                 priority=1,
                 label="phy.sig_start",
-                transient=True,
             )
             schedule(
                 now + delay + duration,
@@ -879,7 +714,6 @@ class Channel:
                 args=(frame_id,),
                 priority=0,
                 label="phy.sig_end",
-                transient=True,
             )
 
     # --------------------------------------------------------------- queries

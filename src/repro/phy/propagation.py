@@ -20,24 +20,20 @@ precomputed in ``__post_init__`` rather than rebuilt per call.  The extra
 attributes are set with ``object.__setattr__`` so the dataclasses stay
 frozen, hashable and comparable on their declared fields only.
 
-Exactness contract (``bulk_exact``)
------------------------------------
-``gain_at_many`` is the numpy bulk counterpart of ``gain_at``, used by the
-channel's vectorised fan-out.  A model that sets ``bulk_exact = True``
-guarantees the bulk path is **bit-identical** to the scalar path for every
-distance: both sides are written as the *same sequence* of individually
-correctly-rounded IEEE-754 operations (multiply, divide, sqrt, compare —
-never ``**`` with a float exponent, whose libm/numpy implementations may
-disagree by 1 ulp).  :class:`FreeSpace` and :class:`TwoRayGround` (the
-paper's models) are ``bulk_exact``; the channel may then schedule received
-powers straight from a bulk evaluation.  :class:`LogDistanceShadowing`
-needs a non-integer power and stays ``bulk_exact = False`` — its bulk gains
-match the scalar path only to ~1 ulp, so callers must use them for
-conservative culling only (the tolerance contract is enforced by
-``tests/phy/test_propagation_exactness.py``).  For the same reason
-:func:`distance` is ``sqrt(dx² + dy²)`` rather than ``math.hypot`` —
-CPython's hypot uses its own rounding algorithm that a numpy expression
-cannot reproduce bit-for-bit.
+Bulk gains cull, scalar gains schedule
+--------------------------------------
+``gain_at_many`` is the numpy bulk counterpart of ``gain_at``.  The
+channel uses it only to *cull* candidates whose received power falls far
+below the interference floor; every power that reaches a scheduled event
+comes from the scalar ``gain_at``.  So the bulk path need only agree with
+the scalar path to within a tiny relative tolerance (far inside the
+channel's ``1e-9`` cull margin), which
+``tests/phy/test_propagation_exactness.py`` checks for every model.
+:class:`FreeSpace` and :class:`TwoRayGround` spell both paths as the same
+correctly-rounded operations (``fpd * fpd``, ``(d·d)·(d·d)``), so they in
+fact agree exactly; :class:`LogDistanceShadowing` needs a non-integer power
+and agrees to ~1 ulp.  :func:`distance` is ``sqrt(dx² + dy²)`` for the
+same reason.
 """
 
 from __future__ import annotations
@@ -76,10 +72,6 @@ def distance(a: Position, b: Position) -> float:
 class PropagationModel:
     """Interface: linear gain between two positions, and its inverse."""
 
-    #: Whether :meth:`gain_at_many` is bit-identical to :meth:`gain_at`
-    #: (see the module docstring).  Models must opt in explicitly.
-    bulk_exact = False
-
     def gain(self, tx_pos: Position, rx_pos: Position) -> float:
         """Linear power ratio P_rx / P_tx between the two positions."""
         raise NotImplementedError
@@ -92,10 +84,9 @@ class PropagationModel:
         """Vectorised :meth:`gain_at` over an array of distances [m].
 
         The base implementation loops; models override it with closed-form
-        numpy expressions.  When :attr:`bulk_exact` is True the override is
-        bit-identical to the scalar path; otherwise results match only to
-        ~1 ulp and callers must treat them as approximate (cull-only in the
-        channel fan-out).
+        numpy expressions that match the scalar path to within a tiny
+        relative tolerance, so callers treat them as approximate (cull-only
+        in the channel fan-out).
         """
         d = np.asarray(distances_m, dtype=float)
         out = np.fromiter(
@@ -119,17 +110,13 @@ class FreeSpace(PropagationModel):
 
     The ``(4πd)²`` factor is computed as ``fpd * fpd`` in both the scalar
     and bulk paths: each step is a single correctly-rounded multiply, so the
-    two paths are bit-identical (``bulk_exact``).  ``x ** 2`` would give the
-    same values on a correctly-rounded libm but ties the contract to the
-    platform's pow; the explicit multiply does not.
+    two paths agree exactly.
     """
 
     frequency_hz: float = 914e6
     gain_tx: float = 1.0
     gain_rx: float = 1.0
     system_loss: float = 1.0
-
-    bulk_exact = True
 
     def __post_init__(self) -> None:
         lam = wavelength(self.frequency_hz)
@@ -148,8 +135,7 @@ class FreeSpace(PropagationModel):
         return self._numerator / (fpd * fpd * self.system_loss)
 
     def gain_at_many(self, distances_m) -> np.ndarray:
-        """Vectorized Friis gains, bit-identical to ``gain_at`` per element."""
-        # Bit-identical to gain_at: same operations, same order (bulk_exact).
+        """Vectorized Friis gains (same operations, same order as ``gain_at``)."""
         d = np.maximum(np.asarray(distances_m, dtype=float), MIN_DISTANCE_M)
         fpd = _FOUR_PI * d
         return self._numerator / (fpd * fpd * self.system_loss)
@@ -174,8 +160,8 @@ class TwoRayGround(PropagationModel):
     The crossover distance is ``d_c = 4π·ht·hr / λ``; at ``d_c`` the two
     branches agree, so the gain is continuous.  ``d⁴`` is computed as
     ``(d·d)·(d·d)`` in both the scalar and bulk paths — see the module
-    docstring — making the model ``bulk_exact`` (branch selection is an
-    exact float comparison, identical either way).
+    docstring (branch selection is an exact float comparison, identical
+    either way).
     """
 
     frequency_hz: float = 914e6
@@ -184,8 +170,6 @@ class TwoRayGround(PropagationModel):
     height_tx_m: float = 1.5
     height_rx_m: float = 1.5
     system_loss: float = 1.0
-
-    bulk_exact = True
 
     def __post_init__(self) -> None:
         lam = wavelength(self.frequency_hz)
@@ -227,9 +211,7 @@ class TwoRayGround(PropagationModel):
         return self._numerator / (d2 * d2 * self.system_loss)
 
     def gain_at_many(self, distances_m) -> np.ndarray:
-        """Vectorized two-ray gains, bit-identical to ``gain_at``."""
-        # Bit-identical to gain_at: both branches use the scalar path's
-        # exact operation sequence and the branch test is an exact compare.
+        """Vectorized two-ray gains (both branches mirror ``gain_at``)."""
         d = np.maximum(np.asarray(distances_m, dtype=float), MIN_DISTANCE_M)
         d2 = d * d
         return np.where(
@@ -294,10 +276,8 @@ class LogDistanceShadowing(PropagationModel):
         )
 
     def gain_at_many(self, distances_m) -> np.ndarray:
-        """Vectorized gains; *not* ``bulk_exact`` (numpy ``**`` may differ
-        in the last ulp from libm ``pow``), so the SoA fan-out uses this
-        for conservative culling only and recomputes survivors scalar-ly.
-        """
+        """Vectorized gains; numpy ``**`` may differ from libm ``pow`` in
+        the last ulp, well inside the channel's cull margin."""
         d = np.maximum(np.asarray(distances_m, dtype=float), MIN_DISTANCE_M)
         return (
             self._reference_gain_val

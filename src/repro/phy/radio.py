@@ -429,13 +429,7 @@ class Radio:
     # -------------------------------------------------------------- receive
 
     def signal_start(self, frame: PhyFrame, rx_power_w: float) -> None:
-        """A signal's leading edge reached this radio (called by the channel).
-
-        The channel schedules this callback with *transient* events (the
-        pooled-event kernel recycles the ``Event`` object the moment the
-        handler returns), so neither this handler nor anything it calls may
-        retain a reference to the dispatching event — only to ``frame``.
-        """
+        """A signal's leading edge reached this radio (called by the channel)."""
         faults = self.faults
         if faults is not None:
             # Link fade: attenuation-only, applied at the receiver so the
@@ -493,11 +487,7 @@ class Radio:
             self._report_busy()
 
     def signal_end(self, frame_id: int) -> None:
-        """A signal's trailing edge passed this radio (called by the channel).
-
-        Scheduled with transient (poolable) events, same contract as
-        :meth:`signal_start`: do not retain the dispatching ``Event``.
-        """
+        """A signal's trailing edge passed this radio (called by the channel)."""
         arrival = self._arrivals.pop(frame_id, None)
         if arrival is None:
             return

@@ -3,7 +3,7 @@
 The radio's built-in decode rules (NS-2 ``CPThresh`` semantics — see
 :mod:`repro.phy.radio`) are the ``null`` component: nothing is installed and
 runs are bit-identical to every build before this slot existed, including
-``events_executed`` (guarded by ``tools/bench_sinr.py`` and
+``events_executed`` (guarded by
 ``tests/reception/test_reception_null_identity.py``).
 
 The ``sinr`` component installs a :class:`~repro.phy.reception.sinr.SinrReceiver`

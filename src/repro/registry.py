@@ -2,11 +2,8 @@
 
 Scenario construction is assembled from pluggable components, one per
 **slot**: ``mac``, ``mobility``, ``placement``, ``traffic``, ``routing``,
-``propagation``, ``energy``, ``observability``, ``faults``, ``reception``
-and ``engine``.  Each slot
-owns a
-:class:`Registry`; each
-registered
+``propagation``, ``energy``, ``observability``, ``faults`` and
+``reception``.  Each slot owns a :class:`Registry`; each registered
 component is a :class:`ComponentEntry` — a named factory plus a declared
 :class:`Param` schema, so a scenario can be described entirely as data
 (component name + params per slot, see :class:`~repro.scenariospec.ScenarioSpec`)
@@ -52,7 +49,6 @@ SLOTS: tuple[str, ...] = (
     "observability",
     "faults",
     "reception",
-    "engine",
 )
 
 

@@ -5,8 +5,8 @@ A :class:`ScenarioSpec` is the single input to
 :class:`~repro.config.ScenarioConfig` plus one :class:`ComponentSpec`
 (component name + params) per scenario slot — ``mac``, ``placement``,
 ``mobility``, ``routing``, ``traffic``, ``propagation``, ``energy``,
-``observability``, ``faults``, ``reception``, ``engine`` — and
-optional explicit flow endpoints.  Because every field is an immutable value type the
+``observability``, ``faults``, ``reception`` — and optional explicit flow
+endpoints.  Because every field is an immutable value type the
 spec is hashable, picklable, and round-trips through JSON without loss::
 
     spec = ScenarioSpec(
@@ -46,17 +46,19 @@ from repro.registry import SLOTS as COMPONENT_SLOTS
 #: 4: the ``observability`` component slot joined the spec (default ``null``).
 #: 5: the ``faults`` component slot joined the spec (default ``null``).
 #: 6: the ``reception`` component slot joined the spec (default ``null``).
-#: 7: the ``engine`` component slot joined the spec (default ``default`` —
-#:    heap scheduler, scalar fan-out, no event pooling).
-SCENARIO_SCHEMA_VERSION = 7
+#: 7: an ``engine`` component slot (scheduler / fan-out / event pooling).
+#: 8: the ``engine`` slot left the spec again — one scheduler, one fan-out.
+SCENARIO_SCHEMA_VERSION = 8
 
 #: Older schemas :meth:`ScenarioSpec.from_dict` still reads.  Schema-2/3/4/
-#: 5/6 files simply lack the ``energy`` / ``observability`` / ``faults`` /
-#: ``reception`` / ``engine`` slots, which take their identity-preserving
-#: defaults — the simulated scenario is identical, so old spec.json files
-#: keep working (they hash, like everything this build loads, under the
-#: current schema).
-_READABLE_SCHEMAS = frozenset({2, 3, 4, 5, 6, SCENARIO_SCHEMA_VERSION})
+#: 5 files simply lack the ``energy`` / ``observability`` / ``faults`` /
+#: ``reception`` slots, which take their identity-preserving defaults — the
+#: simulated scenario is identical, so old spec.json files keep working
+#: (they hash, like everything this build loads, under the current schema).
+#: Schema-7 files may name an ``engine``, which is dropped on read: every
+#: engine was dispatch-order preserving (results bit-identical across
+#: engines), so the spec without it describes the same simulation.
+_READABLE_SCHEMAS = frozenset({2, 3, 4, 5, 6, 7, SCENARIO_SCHEMA_VERSION})
 
 
 def _freeze(value: Any) -> Any:
@@ -221,11 +223,6 @@ class ScenarioSpec:
     observability: ComponentSpec = _component("null")
     faults: ComponentSpec = _component("null")
     reception: ComponentSpec = _component("null")
-    #: Execution-engine knobs (scheduler / fan-out / event pooling).  All
-    #: registered engines are dispatch-order preserving — results are
-    #: bit-identical across engines — but the choice still hashes into the
-    #: content key: a stored result records exactly what ran.
-    engine: ComponentSpec = _component("default")
     #: Explicit (src, dst) flow endpoints; None = random distinct pairs.
     flow_pairs: tuple[tuple[int, int], ...] | None = None
 
@@ -318,6 +315,8 @@ class ScenarioSpec:
                 f"unknown scenario field(s): {', '.join(sorted(unknown))}"
             )
         components = dict(data.get("components", {}))
+        if schema == 7:
+            components.pop("engine", None)
         bad_slots = set(components) - set(COMPONENT_SLOTS)
         if bad_slots:
             raise ValueError(

@@ -19,31 +19,17 @@ keep that approach honest on paper-scale runs:
 
 * **Self-contained bookkeeping.**  :meth:`Event.cancel` notifies its owning
   queue directly, so ``len(queue)`` stays correct no matter which layer
-  cancels (historically, cancelling an event without also calling the
-  queue's ``note_cancelled`` silently corrupted the live count).
+  cancels.
 * **Periodic compaction.**  Lazily-cancelled entries are purged wholesale
   (filter + ``heapify``) once they outnumber live entries, so pop cost
   cannot degrade on long runs where timers are set and cancelled millions
   of times.  Compaction never reorders dispatch: ``(time, priority, seq)``
   is a total order, so any heap arrangement pops the same sequence.
-
-Two queue implementations share that contract:
-
-* :class:`EventQueue` — the binary heap.  O(log n) push/pop, no tuning
-  knobs, the **dispatch-order oracle** for everything else.
-* :class:`CalendarQueue` — a bucketed (calendar) queue: events hash into
-  fixed-width time buckets; only the active bucket is kept sorted, so a
-  push into a future bucket is an O(1) append and the sort cost is paid
-  once per bucket instead of per event.  Dispatch order is *identical* to
-  the heap's (``tests/sim/test_kernel_equivalence.py`` drives both through
-  arbitrary schedule/cancel/compaction interleavings), selected with
-  ``Simulator(scheduler="calendar")``.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from typing import Any, Callable
 
 #: Compaction trigger: purge cancelled heap entries once at least this many
@@ -65,17 +51,9 @@ class Event:
             per-event closure or wrapper object on high-rate schedule sites
             (each signal edge of every frame lands here).
         label: human-readable tag for traces and debugging.
-        transient: the scheduling site promises it keeps **no reference** to
-            the event and will never cancel it (e.g. the channel's signal
-            edges).  Only such events may be recycled through the kernel's
-            freelist (``Simulator(pool_events=True)``) after they fire —
-            recycling an event someone still holds would let a stale
-            ``cancel()`` kill an unrelated reused event.
     """
 
-    __slots__ = (
-        "time", "priority", "seq", "fn", "args", "label", "transient", "_queue"
-    )
+    __slots__ = ("time", "priority", "seq", "fn", "args", "label", "_queue")
 
     def __init__(
         self,
@@ -86,7 +64,6 @@ class Event:
         label: str = "",
         queue: "EventQueue | None" = None,
         args: tuple | None = None,
-        transient: bool = False,
     ) -> None:
         self.time = time
         self.priority = priority
@@ -94,7 +71,6 @@ class Event:
         self.fn = fn
         self.args = args
         self.label = label
-        self.transient = transient
         self._queue = queue
 
     @property
@@ -222,14 +198,6 @@ class EventQueue:
         if self._dead >= COMPACT_MIN_DEAD and self._dead > len(self._heap) // 2:
             self.compact()
 
-    def note_cancelled(self) -> None:
-        """Deprecated no-op kept for API compatibility.
-
-        Cancellation bookkeeping is now self-contained in
-        :meth:`Event.cancel`; calling this as well must not double-count,
-        so it does nothing.
-        """
-
     def __len__(self) -> int:
         """Number of live (non-cancelled) events."""
         return self._live
@@ -237,206 +205,3 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._live > 0
 
-
-class CalendarQueue:
-    """A bucketed (calendar) queue dispatching in the heap's exact order.
-
-    Events hash into fixed-width time buckets (``int(time // width)``).
-    Future buckets are plain unsorted lists — a push is an amortised O(1)
-    dict lookup + append — and a small heap of bucket ids tracks which
-    bucket is next.  Only when a bucket becomes *active* (its turn to
-    dispatch) is it sorted, once; same-instant pushes into the active
-    bucket use ``bisect.insort`` over its unconsumed tail.  For workloads
-    dominated by short-horizon timers (MAC backoffs, signal edges) this
-    trades the heap's per-event O(log n) sift for one timsort per bucket
-    over mostly-ordered data.
-
-    Dispatch order is **identical** to :class:`EventQueue`: entries carry
-    the same ``(time, priority, seq)`` total order, buckets partition time
-    into disjoint ranges (so cross-bucket order is time order), and the
-    active bucket's tail is kept sorted under insertion.  One subtlety: a
-    ``run_until`` can stop *before* the active bucket's times (the clock
-    parks at the horizon), so a later push may land in an **earlier**
-    bucket; :meth:`_peek_entry` detects that and re-parks the active bucket
-    behind it.  The equivalence suite drives both queues through arbitrary
-    schedule/cancel/compaction interleavings.
-
-    Cancellation and compaction follow the heap's contract: lazy O(1)
-    cancel via :meth:`Event.cancel`, dead entries skipped on pop and purged
-    wholesale once they outnumber live ones.
-    """
-
-    __slots__ = (
-        "_width", "_buckets", "_bucket_heap", "_active", "_active_id",
-        "_pos", "_seq", "_live", "_dead",
-    )
-
-    def __init__(self, bucket_width_s: float = 1e-3) -> None:
-        if bucket_width_s <= 0:
-            raise ValueError(f"bucket_width_s must be positive, got {bucket_width_s!r}")
-        self._width = bucket_width_s
-        #: Future buckets: bucket id -> unsorted entry list.
-        self._buckets: dict[int, list[tuple[float, int, int, Event]]] = {}
-        #: Min-heap of pending bucket ids (may hold stale ids of buckets
-        #: emptied by compaction; activation skips those lazily).
-        self._bucket_heap: list[int] = []
-        #: The bucket currently being consumed: sorted, with ``_pos``
-        #: marking the boundary between dispatched and pending entries.
-        self._active: list[tuple[float, int, int, Event]] | None = None
-        self._active_id = 0
-        self._pos = 0
-        self._seq = 0
-        self._live = 0
-        self._dead = 0
-
-    @property
-    def bucket_width_s(self) -> float:
-        """Bucket width [s] — the calendar's only tuning knob."""
-        return self._width
-
-    def push(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *,
-        priority: int = 0,
-        label: str = "",
-        args: tuple | None = None,
-    ) -> Event:
-        """Schedule ``fn`` at absolute time ``time`` and return the event."""
-        seq = self._seq
-        ev = Event(time, priority, seq, fn, label, self, args)
-        self._insert(time, priority, seq, ev)
-        self._seq = seq + 1
-        self._live += 1
-        return ev
-
-    def _insert(self, time: float, priority: int, seq: int, ev: Event) -> None:
-        """Internal: file an entry into its bucket (kernel fast path hook)."""
-        entry = (time, priority, seq, ev)
-        b = int(time // self._width)
-        active = self._active
-        if active is not None and b == self._active_id:
-            # Everything before _pos is already dispatched, so the tail
-            # stays sorted and the new entry can never land in the past.
-            insort(active, entry, lo=self._pos)
-            return
-        bucket = self._buckets.get(b)
-        if bucket is None:
-            self._buckets[b] = [entry]
-            heapq.heappush(self._bucket_heap, b)
-        else:
-            bucket.append(entry)
-
-    def _peek_entry(self) -> tuple[float, int, int, Event] | None:
-        """The next live entry, activating/parking buckets as needed."""
-        while True:
-            active = self._active
-            if active is None:
-                bucket_heap = self._bucket_heap
-                bucket = None
-                while bucket_heap:
-                    bid = bucket_heap[0]
-                    bucket = self._buckets.pop(bid, None)
-                    heapq.heappop(bucket_heap)
-                    if bucket is not None:
-                        break
-                if bucket is None:
-                    return None
-                bucket.sort()  # unique seq: Event objects are never compared
-                self._active = bucket
-                self._active_id = bid
-                self._pos = 0
-                continue
-            bucket_heap = self._bucket_heap
-            if bucket_heap and bucket_heap[0] < self._active_id:
-                # A push since the last pop landed in an earlier bucket
-                # (possible after run_until stopped short of this bucket's
-                # times).  Park the unconsumed tail and switch.
-                tail = active[self._pos:]
-                if tail:
-                    self._buckets[self._active_id] = tail
-                    heapq.heappush(bucket_heap, self._active_id)
-                self._active = None
-                continue
-            pos = self._pos
-            n = len(active)
-            while pos < n and active[pos][3].fn is None:
-                pos += 1
-                self._dead -= 1
-            self._pos = pos
-            if pos == n:
-                self._active = None
-                continue
-            return active[pos]
-
-    def pop(self) -> Event | None:
-        """Remove and return the earliest live event, or None if empty."""
-        entry = self._peek_entry()
-        if entry is None:
-            return None
-        self._pos += 1
-        self._live -= 1
-        return entry[3]
-
-    def pop_next(self, end_time: float) -> Event | None:
-        """Fused peek+pop: the earliest live event with ``time <= end_time``.
-
-        Mirrors :meth:`EventQueue.pop_next` — returns None when drained or
-        when the next live event lies beyond ``end_time`` (left in place).
-        """
-        entry = self._peek_entry()
-        if entry is None or entry[0] > end_time:
-            return None
-        self._pos += 1
-        self._live -= 1
-        return entry[3]
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest live event without removing it."""
-        entry = self._peek_entry()
-        return entry[0] if entry is not None else None
-
-    def compact(self) -> None:
-        """Purge every cancelled entry (and the consumed active prefix).
-
-        Empty buckets are dropped from the dict; their ids go stale in the
-        bucket heap and are skipped lazily at activation.  Order is
-        unaffected: filtering preserves each bucket's relative order and
-        the active tail stays sorted.
-        """
-        if self._dead == 0:
-            return
-        buckets = self._buckets
-        for bid in list(buckets):
-            entries = [e for e in buckets[bid] if e[3].fn is not None]
-            if entries:
-                buckets[bid] = entries
-            else:
-                del buckets[bid]
-        active = self._active
-        if active is not None:
-            tail = [e for e in active[self._pos:] if e[3].fn is not None]
-            if tail:
-                self._active = tail
-                self._pos = 0
-            else:
-                self._active = None
-        self._dead = 0
-
-    def _note_dead(self) -> None:
-        """Internal: an in-queue event was cancelled (called by Event.cancel)."""
-        self._live -= 1
-        self._dead += 1
-        if self._dead >= COMPACT_MIN_DEAD and self._dead > self._live:
-            self.compact()
-
-    def note_cancelled(self) -> None:
-        """Deprecated no-op kept for API compatibility (see EventQueue)."""
-
-    def __len__(self) -> int:
-        """Number of live (non-cancelled) events."""
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0

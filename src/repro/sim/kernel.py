@@ -19,31 +19,15 @@ kernel.  Both dispatch the exact same event sequence (same ``(time,
 priority, seq)`` total order, same ``events_executed``); the equivalence
 suite in ``tests/sim/test_kernel_equivalence.py`` runs whole paper scenarios
 through both and compares results field by field.
-
-Mega-scale knobs (all default off, all dispatch-order preserving):
-
-* ``scheduler="calendar"`` swaps the binary heap for
-  :class:`~repro.sim.event.CalendarQueue` — O(1) pushes into future time
-  buckets instead of O(log n) sifts, with the heap kept as the oracle.
-* ``pool_events=True`` recycles fired *transient* events (those scheduled
-  with ``transient=True`` — sites that keep no reference and never cancel)
-  through a bounded freelist, killing the per-event allocation that
-  dominates dense fan-outs.  Non-transient events are never pooled, so a
-  held reference can never be mutated under its owner.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable
 
-from repro.sim.event import CalendarQueue, Event, EventQueue
-
-#: Freelist cap for ``pool_events=True`` — bounds idle memory while easily
-#: covering the in-flight transient population of a dense fan-out burst.
-_FREELIST_MAX = 4096
+from repro.sim.event import Event, EventQueue
 
 
 class SimulationError(RuntimeError):
@@ -57,12 +41,6 @@ class Simulator:
         fused: use the fused single-traversal hot loop (default).  The
             reference loop (``fused=False``) peeks then pops — bit-identical
             dispatch, kept as the oracle for equivalence tests.
-        scheduler: ``"heap"`` (default, the oracle) or ``"calendar"`` for
-            the bucketed :class:`~repro.sim.event.CalendarQueue`.  Both
-            dispatch the identical event sequence.
-        pool_events: recycle fired transient events through a bounded
-            freelist (see the module docstring).  Off by default.
-        bucket_width_s: calendar bucket width [s]; ignored for the heap.
 
     Example:
         >>> sim = Simulator()
@@ -81,28 +59,10 @@ class Simulator:
         "_stopped",
         "_fused",
         "_profile",
-        "_heap_sched",
-        "_free",
     )
 
-    def __init__(
-        self,
-        *,
-        fused: bool = True,
-        scheduler: str = "heap",
-        pool_events: bool = False,
-        bucket_width_s: float = 1e-3,
-    ) -> None:
-        if scheduler == "heap":
-            self._queue: EventQueue | CalendarQueue = EventQueue()
-        elif scheduler == "calendar":
-            self._queue = CalendarQueue(bucket_width_s)
-        else:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r} (expected 'heap' or 'calendar')"
-            )
-        self._heap_sched = scheduler == "heap"
-        self._free: list[Event] | None = [] if pool_events else None
+    def __init__(self, *, fused: bool = True) -> None:
+        self._queue = EventQueue()
         self._now = 0.0
         self._running = False
         self._stopped = False
@@ -132,16 +92,6 @@ class Simulator:
         """Whether :meth:`run_until` uses the fused hot loop."""
         return self._fused
 
-    @property
-    def scheduler(self) -> str:
-        """The active queue implementation: ``"heap"`` or ``"calendar"``."""
-        return "heap" if self._heap_sched else "calendar"
-
-    @property
-    def pool_events(self) -> bool:
-        """Whether fired transient events are recycled through the freelist."""
-        return self._free is not None
-
     # -- self-profiling ------------------------------------------------------
 
     def enable_profiling(self) -> None:
@@ -169,55 +119,28 @@ class Simulator:
         priority: int = 0,
         label: str = "",
         args: tuple | None = None,
-        transient: bool = False,
     ) -> Event:
         """Schedule ``fn`` at absolute simulation time ``time``.
 
-        Scheduling in the past raises :class:`SimulationError`; scheduling at
-        exactly ``now`` is allowed and fires after the current handler returns.
-        ``args`` are passed positionally to ``fn`` at fire time — high-rate
-        callers use this instead of allocating a closure per event.
-        ``transient=True`` is the caller's promise that it keeps no reference
-        to the returned event and will never cancel it, which makes the event
-        eligible for freelist recycling under ``pool_events=True``.
+        Scheduling in the past (or at NaN) raises :class:`SimulationError`;
+        scheduling at exactly ``now`` is allowed and fires after the current
+        handler returns.  ``args`` are passed positionally to ``fn`` at fire
+        time — high-rate callers use this instead of allocating a closure
+        per event.
         """
-        if time < self._now:
+        # ``not >=`` rather than ``<``: NaN fails every comparison, so this
+        # one test also keeps a NaN time out of the queue and the clock.
+        if not time >= self._now:
             raise SimulationError(
-                f"cannot schedule at t={time!r} < now={self._now!r} ({label or fn!r})"
+                f"cannot schedule at t={time!r} before now={self._now!r} "
+                f"({label or fn!r})"
             )
         # Manually inlined EventQueue.push — this is the single hottest
         # allocation site in a run (every signal edge and timer lands here).
         q = self._queue
         seq = q._seq
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.priority = priority
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.label = label
-            ev.transient = transient
-        else:
-            ev = Event(time, priority, seq, fn, label, q, args, transient)
-        if self._heap_sched:
-            heappush(q._heap, (time, priority, seq, ev))
-        else:
-            # Manually inlined CalendarQueue._insert (same rationale as the
-            # heappush above — one Python frame per event is measurable).
-            entry = (time, priority, seq, ev)
-            b = int(time // q._width)
-            active = q._active
-            if active is not None and b == q._active_id:
-                insort(active, entry, lo=q._pos)
-            else:
-                bucket = q._buckets.get(b)
-                if bucket is None:
-                    q._buckets[b] = [entry]
-                    heappush(q._bucket_heap, b)
-                else:
-                    bucket.append(entry)
+        ev = Event(time, priority, seq, fn, label, q, args)
+        heappush(q._heap, (time, priority, seq, ev))
         q._seq = seq + 1
         q._live += 1
         return ev
@@ -229,41 +152,15 @@ class Simulator:
         priority: int = 0,
         label: str = "",
         args: tuple | None = None,
-        transient: bool = False,
     ) -> Event:
-        """Schedule ``fn`` after a non-negative relative ``delay``."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r} for {label or fn!r}")
+        """Schedule ``fn`` after a non-negative (non-NaN) relative ``delay``."""
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay {delay!r} for {label or fn!r}")
         q = self._queue
         seq = q._seq
         time = self._now + delay
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.priority = priority
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.label = label
-            ev.transient = transient
-        else:
-            ev = Event(time, priority, seq, fn, label, q, args, transient)
-        if self._heap_sched:
-            heappush(q._heap, (time, priority, seq, ev))
-        else:
-            entry = (time, priority, seq, ev)
-            b = int(time // q._width)
-            active = q._active
-            if active is not None and b == q._active_id:
-                insort(active, entry, lo=q._pos)
-            else:
-                bucket = q._buckets.get(b)
-                if bucket is None:
-                    q._buckets[b] = [entry]
-                    heappush(q._bucket_heap, b)
-                else:
-                    bucket.append(entry)
+        ev = Event(time, priority, seq, fn, label, q, args)
+        heappush(q._heap, (time, priority, seq, ev))
         q._seq = seq + 1
         q._live += 1
         return ev
@@ -292,12 +189,10 @@ class Simulator:
         try:
             if self._profile is not None:
                 self._run_profiled(end_time)
-            elif not self._fused:
-                self._run_reference(end_time)
-            elif self._heap_sched:
+            elif self._fused:
                 self._run_fused(end_time)
             else:
-                self._run_calendar(end_time)
+                self._run_reference(end_time)
             if not self._stopped and self._now < end_time:
                 # A drained queue still advances the clock to the horizon; a
                 # stop() leaves it at the stopping event's time.
@@ -315,7 +210,6 @@ class Simulator:
         """
         queue = self._queue
         heap = queue._heap
-        free = self._free
         while heap:
             entry = heap[0]
             ev = entry[3]
@@ -336,95 +230,8 @@ class Simulator:
                 fn()
             else:
                 fn(*args)
-            if free is not None and ev.transient and len(free) < _FREELIST_MAX:
-                ev.args = None  # drop arg refs so pooled events pin nothing
-                free.append(ev)
             if self._stopped:
                 break
-
-    def _run_calendar(self, end_time: float) -> None:
-        """Hot loop: calendar-bucket consumption inlined into the kernel.
-
-        Semantically identical to calling :meth:`CalendarQueue.pop_next`
-        per event (one ``_peek_entry`` + ``pop_next`` Python frame pair
-        saved per dispatch); all queue bookkeeping (``_active`` / ``_pos`` /
-        ``_live`` / ``_dead``) is maintained exactly as those methods do.
-        Handlers may push (including into the active bucket via ``insort``,
-        or into an *earlier* bucket), cancel, or trigger compaction while
-        running, so after every dispatch the loop re-validates the active
-        bucket identity and the bucket-heap front before continuing.
-        """
-        queue = self._queue
-        free = self._free
-        buckets = queue._buckets
-        bucket_heap = queue._bucket_heap
-        while True:
-            active = queue._active
-            if active is None:
-                # Activate the earliest non-stale bucket (ids left behind by
-                # compaction are skipped lazily, exactly as _peek_entry does).
-                bucket = None
-                while bucket_heap:
-                    bid = bucket_heap[0]
-                    bucket = buckets.pop(bid, None)
-                    heappop(bucket_heap)
-                    if bucket is not None:
-                        break
-                if bucket is None:
-                    return
-                bucket.sort()  # unique seq: Event objects are never compared
-                queue._active = bucket
-                queue._active_id = bid
-                queue._pos = 0
-                continue
-            if bucket_heap and bucket_heap[0] < queue._active_id:
-                # A push landed in an earlier bucket (possible after a prior
-                # run_until stopped short): park the unconsumed tail.
-                tail = active[queue._pos:]
-                if tail:
-                    buckets[queue._active_id] = tail
-                    heappush(bucket_heap, queue._active_id)
-                queue._active = None
-                continue
-            pos = queue._pos
-            while True:
-                if pos >= len(active):
-                    queue._active = None
-                    queue._pos = 0
-                    break
-                entry = active[pos]
-                ev = entry[3]
-                if ev.fn is None:
-                    pos += 1
-                    queue._pos = pos
-                    queue._dead -= 1
-                    continue
-                if entry[0] > end_time:
-                    queue._pos = pos
-                    return
-                pos += 1
-                queue._pos = pos
-                queue._live -= 1
-                self._now = ev.time
-                fn = ev.fn
-                ev.fn = None  # mark consumed; cheap guard against re-fire
-                self._events_executed += 1
-                args = ev.args
-                if args is None:
-                    fn()
-                else:
-                    fn(*args)
-                if free is not None and ev.transient and len(free) < _FREELIST_MAX:
-                    ev.args = None  # drop arg refs so pooled events pin nothing
-                    free.append(ev)
-                if self._stopped:
-                    return
-                if queue._active is not active:
-                    # Compaction rebuilt (or drained) the active bucket.
-                    break
-                if bucket_heap and bucket_heap[0] < queue._active_id:
-                    break  # an earlier bucket appeared: outer loop parks us
-                pos = queue._pos  # resync past same-bucket insorts
 
     def _run_profiled(self, end_time: float) -> None:
         """The fused loop with a ``perf_counter`` pair around each dispatch.
@@ -433,7 +240,6 @@ class Simulator:
         schedule ``label`` (empty labels fall back to the handler's
         ``__qualname__``).  The timing overhead is real wall time — results
         feed :class:`repro.obs.profile.ProfileReport`, never benchmarks.
-        Uses the generic ``pop_next`` so it works under either scheduler.
         """
         queue = self._queue
         profile = self._profile

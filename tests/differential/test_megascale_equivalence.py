@@ -1,18 +1,18 @@
-"""Differential suite: the vectorized mega-scale core vs the oracle engine.
+"""Differential suite: the default fast stack vs the oracle build.
 
-The turbo engine — calendar-queue scheduler, struct-of-arrays PHY fan-out,
-pooled transient events — plus the spatial index and the fused kernel must
-produce **bit-identical** :class:`~repro.metrics.ExperimentResult`\\ s
-(including ``events_executed``) to the slowest, most literal execution
-path: the ``default`` engine with the brute-force channel scan and the
-reference peek-then-pop kernel loop.  Every optimisation in the stack is
-therefore falsifiable by one equality on the full result dataclass.
+The default build — spatial-index fan-out (static replay, epoch-cached
+gains, batch cull) and the fused kernel loop — must produce
+**bit-identical** :class:`~repro.metrics.ExperimentResult`\\ s (including
+``events_executed``) to the slowest, most literal execution path: the
+brute-force channel scan and the reference peek-then-pop kernel loop
+(``spatial_index=False, fused_kernel=False``).  Every optimisation in the
+stack is therefore falsifiable by one equality on the full result
+dataclass.
 
 Scenarios are drawn at random by hypothesis across protocol, mobility,
-node count, duration, seed and engine knobs (bucket widths, scheduler /
-fan-out / pooling combinations).  On failure the *runnable spec JSON* for
-both sides is attached via ``hypothesis.note`` so a counterexample can be
-replayed with ``python -m repro quick --scenario <file>`` directly.
+node count, duration and seed.  On failure the *runnable spec JSON* is
+attached via ``hypothesis.note`` so a counterexample can be replayed with
+``python -m repro quick --scenario <file>`` directly.
 
 Example budgets follow the profiles in ``tests/conftest.py`` (``dev``
 locally, ``--hypothesis-profile=ci`` in the differential CI job).
@@ -20,6 +20,7 @@ locally, ``--hypothesis-profile=ci`` in the differential CI job).
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, replace
 
 import pytest
@@ -28,41 +29,24 @@ from hypothesis import strategies as st
 
 from repro.builder import NetworkBuilder
 from repro.config import ScenarioConfig
-from repro.scenariospec import ComponentSpec, ScenarioSpec
-
-#: The oracle engine: heap scheduler, scalar fan-out, no pooling.
-ORACLE_ENGINE = ComponentSpec("default")
-
-#: Vectorized-core engine variants under test.  ``turbo`` is the preset
-#: (calendar + soa + pooling); the explicit ``default``-with-params forms
-#: prove each knob holds the contract independently of the others.
-VECTOR_ENGINES = (
-    ComponentSpec("turbo"),
-    ComponentSpec("turbo", bucket_width_s=0.05),
-    ComponentSpec("turbo", bucket_width_s=0.25),
-    ComponentSpec("default", scheduler="calendar", fanout="scalar"),
-    ComponentSpec("default", scheduler="heap", fanout="soa", pool_events=True),
-)
+from repro.scenariospec import ScenarioSpec
 
 
 def make_spec(
-    protocol: str, mobile: bool, n: int, duration_s: float, seed: int,
-    engine: ComponentSpec,
+    protocol: str, mobile: bool, n: int, duration_s: float, seed: int
 ) -> ScenarioSpec:
     cfg = replace(
         ScenarioConfig(), node_count=n, duration_s=duration_s, seed=seed
     )
-    return replace(
-        ScenarioSpec.from_legacy(cfg, protocol, mobile=mobile), engine=engine
-    )
+    return ScenarioSpec.from_legacy(cfg, protocol, mobile=mobile)
 
 
 def run_spec(spec: ScenarioSpec, *, oracle: bool) -> dict:
     """Build + run one spec; the full result dict minus wall-clock time.
 
-    The oracle side additionally disables the runtime-only builder
-    accelerations (spatial index, fused kernel) so the comparison pits the
-    *entire* vectorized stack against the most literal execution path.
+    The oracle side disables the runtime-only builder accelerations
+    (spatial index, fused kernel) so the comparison pits the *entire* fast
+    stack against the most literal execution path.
     """
     net = NetworkBuilder(
         spec, spatial_index=not oracle, fused_kernel=not oracle
@@ -72,34 +56,31 @@ def run_spec(spec: ScenarioSpec, *, oracle: bool) -> dict:
     return result
 
 
-def assert_engines_identical(
-    protocol: str, mobile: bool, n: int, duration_s: float, seed: int,
-    engine: ComponentSpec,
+def assert_matches_oracle(
+    protocol: str, mobile: bool, n: int, duration_s: float, seed: int
 ) -> dict:
-    """Oracle vs vectorized: full-result bit identity, specs noted on failure."""
-    oracle_spec = make_spec(protocol, mobile, n, duration_s, seed, ORACLE_ENGINE)
-    vector_spec = make_spec(protocol, mobile, n, duration_s, seed, engine)
+    """Oracle vs default build: full-result bit identity, spec noted on failure."""
+    spec = make_spec(protocol, mobile, n, duration_s, seed)
     # Attach the runnable spec JSON to any failure: via hypothesis notes
     # inside property tests, via captured stdout (shown only on failure)
     # for the deterministic cases.
     repro_hint = (
-        f"oracle spec (run with `python -m repro quick --scenario <file>`):\n"
-        f"{oracle_spec.to_json(indent=2)}\n"
-        f"vectorized spec:\n{vector_spec.to_json(indent=2)}"
+        f"spec (run with `python -m repro quick --scenario <file>`):\n"
+        f"{spec.to_json(indent=2)}"
     )
     if currently_in_test_context():
         note(repro_hint)
     else:
         print(repro_hint)
-    want = run_spec(oracle_spec, oracle=True)
-    got = run_spec(vector_spec, oracle=False)
+    want = run_spec(spec, oracle=True)
+    got = run_spec(spec, oracle=False)
     assert got == want
     assert got["events_executed"] == want["events_executed"] > 0
     return got
 
 
 class TestRandomScenarioEquivalence:
-    """Hypothesis-drawn worlds: every engine variant reproduces the oracle."""
+    """Hypothesis-drawn worlds: the default build reproduces the oracle."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -107,47 +88,39 @@ class TestRandomScenarioEquivalence:
         protocol=st.sampled_from(["basic", "pcmac"]),
         mobile=st.booleans(),
         duration_s=st.sampled_from([2.0, 3.0, 5.0]),
-        engine=st.sampled_from(VECTOR_ENGINES),
     )
-    def test_full_results_bit_identical(
-        self, seed, n, protocol, mobile, duration_s, engine
-    ):
-        assert_engines_identical(protocol, mobile, n, duration_s, seed, engine)
+    def test_full_results_bit_identical(self, seed, n, protocol, mobile, duration_s):
+        assert_matches_oracle(protocol, mobile, n, duration_s, seed)
 
 
 class TestDenseBlockEquivalence:
-    """Deterministic worlds big enough that real SoA blocks form (n ≥ 64)."""
+    """Deterministic worlds with large candidate blocks (n ≥ 64)."""
 
     @pytest.mark.parametrize("protocol", ["basic", "pcmac"])
     def test_static_dense_world(self, protocol):
-        result = assert_engines_identical(
-            protocol, mobile=False, n=80, duration_s=3.0, seed=5,
-            engine=ComponentSpec("turbo"),
+        result = assert_matches_oracle(
+            protocol, mobile=False, n=80, duration_s=3.0, seed=5
         )
         assert result["sent"] > 0  # non-vacuous: traffic actually flowed
 
     def test_mobile_world_uses_per_transmit_vector_pass(self):
-        assert_engines_identical(
-            "basic", mobile=True, n=70, duration_s=3.0, seed=9,
-            engine=ComponentSpec("turbo"),
-        )
+        """Mobile sources miss the gain cache, so their fan-outs go through
+        the batch cull's vectorised ``gain_at_many`` pass."""
+        assert_matches_oracle("basic", mobile=True, n=70, duration_s=3.0, seed=9)
 
 
-class TestEngineSpecSemantics:
-    """The engine knob hashes into the spec key but never into the physics."""
+class TestRetiredEngineSlot:
+    """Schema-7 specs named an ``engine``; every engine was result-identical,
+    so loading drops the component and the scenario is unchanged."""
 
-    def test_key_differs_but_results_do_not(self):
-        base = make_spec("basic", False, 12, 4.0, 3, ORACLE_ENGINE)
-        turbo = replace(base, engine=ComponentSpec("turbo"))
-        assert base.key() != turbo.key()
-        want = run_spec(base, oracle=True)
-        got = run_spec(turbo, oracle=False)
-        assert got == want
-
-    def test_engine_round_trips_through_json(self):
-        spec = make_spec(
-            "pcmac", True, 10, 2.0, 7, ComponentSpec("turbo", bucket_width_s=0.05)
-        )
-        again = ScenarioSpec.from_json(spec.to_json())
-        assert again == spec
-        assert again.engine.params_dict["bucket_width_s"] == 0.05
+    def test_schema7_engine_is_dropped(self):
+        spec = make_spec("pcmac", True, 10, 2.0, 7)
+        old = spec.to_dict()
+        old["schema"] = 7
+        without = json.loads(json.dumps(old))
+        old["components"]["engine"] = {
+            "name": "turbo", "params": {"bucket_width_s": 0.05},
+        }
+        loaded = ScenarioSpec.from_dict(old)
+        assert loaded == ScenarioSpec.from_dict(without) == spec
+        assert loaded.key() == spec.key()

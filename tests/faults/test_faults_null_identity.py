@@ -2,9 +2,7 @@
 
 Mirrors the energy and obs null-identity guards: the ``faults`` slot's
 default must add *nothing* — same results, same ``events_executed`` — so
-every pre-faults result (and every recorded benchmark baseline) stays
-valid.  ``tools/bench_faults.py`` checks the same property against the
-full BENCH_engine grid; this is the fast tier-1 version.
+every pre-faults result stays valid.
 """
 
 from __future__ import annotations
@@ -60,6 +58,18 @@ class TestNullFaultsIdentity:
         ).run()
         assert churned.events_executed != plain.events_executed
         assert churned.resilience is not None
+
+    @pytest.mark.parametrize("protocol", ["basic", "pcmac"])
+    @pytest.mark.parametrize("mobility", ["static", "waypoint"])
+    def test_churn_is_deterministic(self, protocol, mobility):
+        """The same churn spec replays to the identical result."""
+        spec = ScenarioSpec(
+            cfg=small_cfg(),
+            mac=protocol,
+            mobility=mobility,
+            faults=ComponentSpec("churn", crash_count=2, downtime_s=1.0),
+        )
+        assert strip_wallclock(spec.run()) == strip_wallclock(spec.run())
 
     def test_resilience_survives_store_round_trip(self):
         spec = ScenarioSpec(

@@ -53,7 +53,7 @@ class RecordingRadio:
         self.log.append(("end", self.sim.now, self.node_id, frame_id))
 
 
-def build_world(seed, n, side_m, mobile, spatial_index, fanout="scalar"):
+def build_world(seed, n, side_m, mobile, spatial_index):
     """One (sim, channel, radios, log) world; same seed ⇒ same world."""
     sim = Simulator()
     chan = Channel(
@@ -64,7 +64,6 @@ def build_world(seed, n, side_m, mobile, spatial_index, fanout="scalar"):
         max_tx_power_w=MAX_POWER_W,
         max_speed_mps=SPEED_MPS if mobile else 0.0,
         reindex_interval_s=0.5,
-        fanout=fanout,
     )
     rng = np.random.default_rng(seed)
     mob_cfg = MobilityConfig(
@@ -101,8 +100,8 @@ def make_script(seed, n, tx_count):
     ]
 
 
-def run_script(seed, n, side_m, mobile, spatial_index, script, fanout="scalar"):
-    sim, chan, radios, log = build_world(seed, n, side_m, mobile, spatial_index, fanout)
+def run_script(seed, n, side_m, mobile, spatial_index, script):
+    sim, chan, radios, log = build_world(seed, n, side_m, mobile, spatial_index)
     for t, src, power, size, fid in script:
         frame = PhyFrame(
             payload=None,
@@ -122,11 +121,7 @@ def assert_equivalent(seed, n, side_m, mobile, tx_count=40, require_events=False
     script = make_script(seed, n, tx_count)
     _, brute = run_script(seed, n, side_m, mobile, False, script)
     _, indexed = run_script(seed, n, side_m, mobile, True, script)
-    _, soa = run_script(seed, n, side_m, mobile, True, script, fanout="soa")
     assert brute == indexed
-    # The struct-of-arrays vector pass must be bit-identical to the oracle
-    # too (TwoRayGround declares bulk_exact — see repro.phy.propagation).
-    assert brute == soa
     if require_events:
         # These geometries are dense enough that an all-empty log would mean
         # the equality assertion above was vacuous.
@@ -166,12 +161,8 @@ class TestScheduleEquivalence:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_dense_block_static_seeds(self, seed):
-        """Candidate blocks exceed ``_SOA_MIN`` so the vector pass engages.
-
-        The smaller worlds above stay below the SoA minimum block size and
-        therefore only cover its scalar fallback; this geometry packs ≥ 64
-        static radios into the 3×3 cell blocks around most transmitters.
-        """
+        """Large static candidate blocks: ≥ 64 radios per 3×3 cell block,
+        replayed from the static fan-out cache on every repeat transmit."""
         assert_equivalent(
             seed, n=150, side_m=1500.0, mobile=False, tx_count=60,
             require_events=True,

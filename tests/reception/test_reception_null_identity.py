@@ -2,9 +2,7 @@
 
 Mirrors the energy / obs / faults null-identity guards: the ``reception``
 slot's default must add *nothing* — same results, same ``events_executed``
-— so every pre-reception result (and every recorded benchmark baseline)
-stays valid.  ``tools/bench_sinr.py`` checks the same property against the
-full BENCH_engine grid; this is the fast tier-1 version.
+— so every pre-reception result stays valid.
 """
 
 from __future__ import annotations

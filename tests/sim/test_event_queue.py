@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.event import COMPACT_MIN_DEAD, EventQueue
+from repro.sim.kernel import SimulationError, Simulator
 
 
 class TestOrdering:
@@ -105,13 +106,13 @@ class TestCancellation:
         """Regression: Event.cancel() alone must keep len(queue) correct.
 
         Historically the count only stayed correct when cancellation went
-        through Simulator.cancel (which called note_cancelled); a direct
-        event.cancel() silently corrupted ``pending_events``.
+        through Simulator.cancel; a direct event.cancel() silently corrupted
+        ``pending_events``.
         """
         q = EventQueue()
         ev = q.push(1.0, lambda: None)
         q.push(2.0, lambda: None)
-        ev.cancel()  # no note_cancelled call — bookkeeping is self-contained
+        ev.cancel()  # bookkeeping is self-contained
         assert len(q) == 1
         assert q.pop() is not None
         assert len(q) == 0
@@ -123,15 +124,6 @@ class TestCancellation:
         ev.cancel()
         ev.cancel()
         assert len(q) == 0
-
-    def test_note_cancelled_is_a_noop(self):
-        """The legacy hook must not double-count on top of Event.cancel."""
-        q = EventQueue()
-        ev = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        ev.cancel()
-        q.note_cancelled()
-        assert len(q) == 1
 
     def test_peek_time_skips_cancelled(self):
         q = EventQueue()
@@ -197,3 +189,22 @@ class TestCompaction:
         want = [ev.label for ev in iter(plain.pop, None)]
         assert got == want
         assert len(got) == 40
+
+
+
+class TestNanTimes:
+    """Regression: a NaN time passed the ``time < now`` guard, fired after
+    every finite event and left ``sim.now`` NaN, disarming every later
+    past-time check."""
+
+    @pytest.mark.parametrize("method", ["schedule", "schedule_in"])
+    def test_nan_is_rejected_and_the_clock_stays_armed(self, method):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(float("nan"), lambda: None)
+        assert sim.pending_events == 1
+        sim.run_until(2.0)
+        assert sim.now == 2.0
+        with pytest.raises(SimulationError):
+            sim.schedule(1.5, lambda: None)

@@ -1,14 +1,10 @@
-"""Fused vs reference kernel, heap vs calendar queue: exact equivalence.
+"""Fused vs reference kernel: exact equivalence.
 
 The fused hot loop (``EventQueue.pop_next`` inside ``Simulator(fused=True)``)
 must dispatch the *exact* event sequence of the reference peek-then-pop loop
 — same ``(time, priority, seq)`` total order, same ``events_executed`` —
 under any interleaving of scheduling, cancellation and heap compaction.
-The bucketed :class:`~repro.sim.event.CalendarQueue` must in turn pop the
-exact sequence of the binary heap (its oracle) under the same
-interleavings at any bucket width, including the parked-bucket edge where
-a push lands in a bucket *earlier* than the one being consumed.  These
-tests drive all implementations with identical scripts (including handlers
+These tests drive both loops with identical scripts (including handlers
 that schedule and cancel further events while running) and whole paper
 scenarios, and compare field by field.
 """
@@ -24,7 +20,7 @@ from hypothesis import strategies as st
 from repro.builder import NetworkBuilder
 from repro.config import ScenarioConfig
 from repro.scenariospec import ScenarioSpec
-from repro.sim.event import CalendarQueue, EventQueue
+from repro.sim.event import EventQueue
 from repro.sim.kernel import Simulator
 
 # ---------------------------------------------------------------------------
@@ -92,108 +88,6 @@ class TestQueueDispatchOrder:
 
 
 # ---------------------------------------------------------------------------
-# Property: calendar queue vs binary heap under mixed push/pop/drain scripts
-# ---------------------------------------------------------------------------
-
-#: Mixed op scripts extend ``_ops`` with consumption: ``("pop",)`` pops one
-#: event mid-script and ``("drain", t)`` mimics ``run_until(t)`` by popping
-#: everything with ``time <= t``.  Draining then pushing an earlier time is
-#: exactly the sequence that forces the calendar to re-park its active
-#: bucket behind a newly earlier one.
-_mixed_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("push"),
-            st.floats(min_value=0.0, max_value=100.0),
-            st.integers(min_value=-3, max_value=3),
-        ),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
-        st.tuples(st.just("compact")),
-        st.tuples(st.just("pop")),
-        st.tuples(st.just("drain"), st.floats(min_value=0.0, max_value=100.0)),
-    ),
-    min_size=1,
-    max_size=300,
-)
-
-
-def _entry(ev):
-    return (ev.time, ev.priority, ev.seq, ev.label)
-
-
-def _apply_mixed(queue, ops, compaction: bool):
-    """Run a mixed script against ``queue``; returns the pop trace.
-
-    The trace records every popped entry *and* the drain boundaries (as
-    ``("drained", t)`` markers), so two queues agree only if they release
-    the same events at the same points of the script.
-    """
-    pushed, trace = [], []
-    for op in ops:
-        if op[0] == "push":
-            pushed.append(
-                queue.push(op[1], lambda: None, priority=op[2], label=f"e{len(pushed)}")
-            )
-        elif op[0] == "cancel":
-            if pushed:
-                pushed[op[1] % len(pushed)].cancel()
-        elif op[0] == "pop":
-            ev = queue.pop()
-            trace.append(None if ev is None else _entry(ev))
-        elif op[0] == "drain":
-            while (ev := queue.pop_next(op[1])) is not None:
-                trace.append(_entry(ev))
-            trace.append(("drained", op[1]))
-        elif compaction:  # explicit compact on the queue under test only
-            queue.compact()
-    while (ev := queue.pop()) is not None:
-        trace.append(_entry(ev))
-    return trace
-
-
-class TestCalendarQueueDispatchOrder:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        ops=_mixed_ops,
-        width=st.sampled_from([1e-3, 0.1, 1.0, 7.5, 1000.0]),
-    )
-    def test_calendar_pops_exact_heap_order(self, ops, width):
-        """Identical pop traces under arbitrary interleavings, any width."""
-        heap_trace = _apply_mixed(EventQueue(), ops, compaction=False)
-        cal_trace = _apply_mixed(CalendarQueue(width), ops, compaction=True)
-        assert cal_trace == heap_trace
-
-    @settings(max_examples=60, deadline=None)
-    @given(ops=_ops, width=st.sampled_from([1e-3, 0.5, 50.0]))
-    def test_calendar_order_stable_under_cancel_and_compaction(self, ops, width):
-        """The heap suite's original property, rerun against the calendar."""
-        queue = CalendarQueue(width)
-        pushed = _apply(queue, ops, compaction=True)
-        got = []
-        while (ev := queue.pop_next(float("inf"))) is not None:
-            got.append(_entry(ev))
-        live = sorted(
-            _entry(ev) for ev in pushed if not ev.cancelled
-        )
-        assert got == live
-        assert len(queue) == 0
-
-    def test_parked_bucket_edge(self):
-        """Deterministic regression for the re-park subtlety.
-
-        Drain to a horizon *inside* the active bucket, push an event in an
-        earlier bucket, and require the earlier event to pop first.
-        """
-        queue = CalendarQueue(1.0)
-        queue.push(5.7, lambda: None, label="late")
-        assert queue.pop_next(5.0) is None  # activates bucket 5, stops short
-        queue.push(2.3, lambda: None, label="early")
-        assert queue.pop().label == "early"
-        assert queue.pop().label == "late"
-        assert queue.pop() is None
-
-
-# ---------------------------------------------------------------------------
 # Property: kernel-level dispatch with handlers that schedule and cancel
 # ---------------------------------------------------------------------------
 
@@ -248,18 +142,10 @@ class _ScriptedRun:
     horizon=st.floats(min_value=1.0, max_value=20.0),
 )
 def test_all_kernel_variants_dispatch_identically(initial, plan, horizon):
-    """Fused/reference × heap/calendar (× pooling) fire the same sequence."""
-    variants = (
-        dict(fused=True),
-        dict(fused=False),
-        dict(fused=True, scheduler="calendar"),
-        dict(fused=True, scheduler="calendar", bucket_width_s=0.25),
-        dict(fused=True, scheduler="calendar", pool_events=True),
-        dict(fused=False, scheduler="calendar"),
-    )
+    """The fused and reference loops fire the same sequence."""
     runs = []
-    for kwargs in variants:
-        sim = Simulator(**kwargs)
+    for fused in (True, False):
+        sim = Simulator(fused=fused)
         script = _ScriptedRun(sim, plan)
         script.start(initial)
         sim.run_until(horizon)

@@ -67,7 +67,6 @@ GOLDEN_COMPONENTS = {
     "observability": ["flight", "null", "probes", "trace"],
     "faults": ["churn", "null", "scripted"],
     "reception": ["null", "sinr"],
-    "engine": ["default", "turbo"],
 }
 
 

@@ -1,14 +1,10 @@
-"""Mega-scale stress: a 2000-node world under both schedulers, leak-guarded.
+"""Mega-scale stress: a 2000-node world, leak-guarded.
 
 Slow-marked (deselected from tier-1; run with ``python -m pytest -m slow``).
 One paper-density 2000-node static world is executed for two simulated
-seconds under the ``default`` engine (binary heap, scalar fan-out) and the
-``turbo`` engine (calendar queue, SoA fan-out, pooled events).  The runs
-must execute the *identical* number of events — the mega-scale analogue of
-the differential suite's bit-identity — and the turbo run must hold its
-memory: the kernel freelist stays bounded and extending the run does not
-grow peak RSS beyond a modest allowance (an unbounded freelist or a
-fan-out cache leak would blow well past it at this scale).
+seconds on the default build, then for one more: that extra second must not
+grow peak RSS beyond a modest allowance (a fan-out cache or event-queue
+leak would blow well past it at this scale).
 """
 
 from __future__ import annotations
@@ -21,8 +17,7 @@ import pytest
 
 from repro.builder import NetworkBuilder
 from repro.config import MobilityConfig, ScenarioConfig
-from repro.scenariospec import ComponentSpec, ScenarioSpec
-from repro.sim.kernel import _FREELIST_MAX
+from repro.scenariospec import ScenarioSpec
 
 N_NODES = 2000
 HORIZON_S = 2.0
@@ -36,7 +31,8 @@ def _peak_rss_kib() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def _build(engine: ComponentSpec):
+@pytest.mark.slow
+def test_2000_node_world_memory_is_bounded():
     cfg = replace(
         ScenarioConfig(),
         node_count=N_NODES,
@@ -44,36 +40,14 @@ def _build(engine: ComponentSpec):
         seed=3,
         mobility=MobilityConfig(field_width_m=SIDE_M, field_height_m=SIDE_M),
     )
-    spec = replace(
-        ScenarioSpec.from_legacy(cfg, "basic", mobile=False), engine=engine
-    )
-    return NetworkBuilder(spec).build()
-
-
-@pytest.mark.slow
-def test_2000_node_world_schedulers_agree_and_memory_is_bounded():
-    executed = {}
-    for name in ("default", "turbo"):
-        net = _build(ComponentSpec(name))
-        net.sim.run_until(HORIZON_S)
-        executed[name] = net.sim.events_executed
-        if name != "turbo":
-            continue
-
-        # Freelist leak guard: pooling recycles transient events through a
-        # hard-capped freelist — it must never balloon past its cap.
-        free = net.sim._free
-        assert free is not None  # turbo really has pooling on
-        assert len(free) <= _FREELIST_MAX
-
-        # RSS guard: another simulated second at steady state must reuse
-        # pooled events and cached fan-outs, not allocate proportionally.
-        before = _peak_rss_kib()
-        net.sim.run_until(HORIZON_S + 1.0)
-        growth = _peak_rss_kib() - before
-        assert growth < RSS_ALLOWANCE_KIB, f"peak RSS grew {growth} KiB"
-        assert len(free) <= _FREELIST_MAX
-
-    assert executed["default"] == executed["turbo"]
+    net = NetworkBuilder(ScenarioSpec.from_legacy(cfg, "basic", mobile=False)).build()
+    net.sim.run_until(HORIZON_S)
     # Non-vacuous: a 2000-node world at paper density is busy.
-    assert executed["default"] > 1_000_000
+    assert net.sim.events_executed > 1_000_000
+
+    # Another simulated second at steady state must reuse cached fan-outs
+    # and free fired events, not allocate proportionally.
+    before = _peak_rss_kib()
+    net.sim.run_until(HORIZON_S + 1.0)
+    growth = _peak_rss_kib() - before
+    assert growth < RSS_ALLOWANCE_KIB, f"peak RSS grew {growth} KiB"

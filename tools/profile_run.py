@@ -13,8 +13,7 @@ whole-run events/sec:
 
 ``--dump`` writes the raw stats for snakeviz/pstats digging; ``--duration``
 overrides the spec's horizon so a 400 s paper scenario can be profiled in
-seconds.  Build time is excluded — only the run loop is profiled, matching
-what ``tools/bench_engine.py`` measures.
+seconds.  Build time is excluded — only the run loop is profiled.
 """
 
 from __future__ import annotations
