@@ -56,6 +56,40 @@ def test_kernel_loop_event_storm(benchmark, fused):
     assert benchmark(storm) >= 5000
 
 
+def _edge_batch_storm(sim: Simulator, transmits: int = 200, fanout: int = 25) -> int:
+    """Overlapping transmits, each handing the kernel one batch of
+    ``2 * fanout`` edges — the indexed channel's pattern, trivial handlers."""
+    count = [0]
+
+    def edge(_k):
+        count[0] += 1
+
+    def transmit(k):
+        now = sim.now
+        seq = sim.next_seq
+        edges = []
+        for i in range(fanout):
+            t = now + i * 1e-7  # staggered propagation delays
+            edges.append((t, 1, seq, edge, (k,), "edge.start"))
+            edges.append((t + 1e-3, 0, seq + 1, edge, (k,), "edge.end"))
+            seq += 2
+        sim.schedule_edges(edges)
+        if k + 1 < transmits:
+            sim.schedule_in(4e-4, transmit, args=(k + 1,))  # frames overlap
+
+    sim.schedule(0.0, transmit, args=(0,))
+    sim.run_until(1e9)
+    return count[0]
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
+def test_kernel_loop_edge_batch_storm(benchmark, fused):
+    def storm():
+        return _edge_batch_storm(Simulator(fused=fused))
+
+    assert benchmark(storm) == 200 * 2 * 25
+
+
 def test_kernel_cancel_heavy_storm(benchmark):
     """Set-and-cancel timer pattern: exercises lazy cancel + compaction."""
 

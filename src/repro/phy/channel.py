@@ -4,7 +4,7 @@ A :class:`Channel` owns a set of radios and a propagation model.  When a
 radio transmits, the channel computes the received power at every reachable
 radio from their *current* positions (node movement over one frame airtime is
 sub-millimetre at the paper's 3 m/s, so the gain is sampled once per frame)
-and schedules ``signal_start`` / ``signal_end`` events, optionally offset by
+and delivers ``signal_start`` / ``signal_end`` edges, optionally offset by
 the propagation delay.
 
 Arrivals below ``interference_floor_w`` are culled — they could affect
@@ -54,13 +54,21 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   **solely to cull** candidates whose received power falls below the
   interference floor by a safety margin; every candidate that might cross
   the floor gets the exact scalar ``gain_at`` value, and *only* exact
-  gains ever reach a scheduled event or a reusable cache entry (approximate
+  gains ever reach a scheduled edge or a reusable cache entry (approximate
   entries are cached with an ``exact=False`` flag and upgraded on demand).
-  Scheduling happens in a second pass, strictly in attach order, so event
+  Edges are numbered in a second pass, strictly in attach order, so event
   sequence numbers — and with them same-time tie-breaking — are untouched.
 * **Static replay.**  In an all-static world (``max_speed_mps == 0``) the
   survivor list of each ``(source, tx power)`` is computed once through
   the scalar path and replayed on every later transmit.
+* **Edge batches.**  The brute scan schedules every edge as its own event;
+  the indexed path hands all edges of one transmit to the kernel in one
+  :meth:`~repro.sim.kernel.Simulator.schedule_edges` call, numbered with
+  the seqs those ``schedule`` calls would take (receiver *i* in attach
+  order: start ``next_seq + 2i``, end ``next_seq + 2i + 1``).  The kernel
+  keeps one heap entry per batch and dispatches the edges in the same
+  ``(time, priority, seq)`` order.  Edges are uncancellable, which suits
+  physics: energy in flight always arrives (see :meth:`Channel.detach`).
 
 All paths produce bit-identical event schedules (same times, powers and
 tie-breaking order — candidates are visited in attach order); the
@@ -113,6 +121,10 @@ _BATCH_MIN_CULL_DEN = 4
 #: ten discrete power levels; on overflow the cache is simply cleared and
 #: rebuilt on demand — correctness never depends on a hit.
 _STATIC_FANOUT_CAP = 131072
+
+#: Event labels of a signal's leading and trailing edge (profiler buckets).
+_START = "phy.sig_start"
+_END = "phy.sig_end"
 
 
 class _RadioEntry:
@@ -453,7 +465,11 @@ class Channel:
             self._fanout_indexed(src, frame)
 
     def _fanout_brute(self, src: Radio, frame: PhyFrame) -> None:
-        """Reference fan-out: scan every radio, recompute every gain."""
+        """Reference fan-out: scan every radio, recompute every gain.
+
+        Each edge is its own ``schedule`` call (no edge batch), so this path
+        stays an independent oracle for the batched dispatch too.
+        """
         sim = self.sim
         now = sim.now
         duration = frame.duration_s
@@ -479,14 +495,14 @@ class Channel:
                 rx.signal_start,
                 args=(frame, rx_power),
                 priority=1,
-                label="phy.sig_start",
+                label=_START,
             )
             sim.schedule(
                 now + delay + duration,
                 rx.signal_end,
                 args=(frame.frame_id,),
                 priority=0,
-                label="phy.sig_end",
+                label=_END,
             )
 
     def _fanout_indexed(self, src: Radio, frame: PhyFrame) -> None:
@@ -498,7 +514,8 @@ class Channel:
         positions (validated by movement epochs), bulk-evaluated gains are
         used only to cull candidates safely below the floor (scheduled
         powers are always the scalar ``gain_at`` value), and edges are
-        scheduled in attach order so same-time ties break identically.
+        numbered in attach order so same-time ties break identically.  All
+        edges go to the kernel as one batch (see the module docs).
         """
         if frame.tx_power_w > self._max_tx_power_w:
             raise ValueError(
@@ -524,12 +541,16 @@ class Channel:
                         fanouts.clear()
                     fanouts[key] = hits
                 duration = frame.duration_s
-                frame_id = frame.frame_id
-                schedule = sim.schedule
+                end_args = (frame.frame_id,)
+                seq = sim.next_seq
+                edges = []
+                append = edges.append
                 for rx, rx_power, delay in hits:
                     t = now + delay
-                    schedule(t, rx.signal_start, 1, "phy.sig_start", (frame, rx_power))
-                    schedule(t + duration, rx.signal_end, 0, "phy.sig_end", (frame_id,))
+                    append((t, 1, seq, rx.signal_start, (frame, rx_power), _START))
+                    append((t + duration, 0, seq + 1, rx.signal_end, end_args, _END))
+                    seq += 2
+                sim.schedule_edges(edges)
                 return
         if now >= self._reindex_due_at:
             self._reindex(now)
@@ -565,8 +586,12 @@ class Channel:
         gain_at = self.propagation.gain_at
         duration = frame.duration_s
         model_delay = self.model_propagation_delay
-        frame_id = frame.frame_id
-        schedule = sim.schedule
+        end_args = (frame.frame_id,)
+        # The seqs the brute path's schedule calls would take: receiver i (in
+        # attach order) gets start = base + 2i and end = base + 2i + 1.
+        seq = sim.next_seq
+        edges: list[tuple] = []
+        append = edges.append
 
         # Expected cache misses ≈ candidates not yet in the link cache; with
         # a fully warm cache (static scenarios after the first transmit per
@@ -576,9 +601,10 @@ class Channel:
             and links is not None
             and len(candidates) - len(links) >= _BATCH_MIN_MISSES
         ):
-            # Scalar fast path: one pass in attach order, scheduling inline
-            # (identical structure to the historical loop, so dense fields —
-            # where the batch gate has tripped — pay no two-pass overhead).
+            # Scalar fast path: one pass in attach order, building edges
+            # inline (identical structure to the historical loop, so dense
+            # fields — where the batch gate has tripped — pay no two-pass
+            # overhead).
             for cand in candidates:
                 rx = cand.radio
                 if rx is src:
@@ -610,30 +636,20 @@ class Channel:
                 rx_power = tx_power * gain
                 if rx_power < floor:
                     continue
-                delay = dist / SPEED_OF_LIGHT if model_delay else 0.0
-                schedule(
-                    now + delay,
-                    rx.signal_start,
-                    args=(frame, rx_power),
-                    priority=1,
-                    label="phy.sig_start",
-                )
-                schedule(
-                    now + delay + duration,
-                    rx.signal_end,
-                    args=(frame_id,),
-                    priority=0,
-                    label="phy.sig_end",
-                )
+                t = now + (dist / SPEED_OF_LIGHT if model_delay else 0.0)
+                append((t, 1, seq, rx.signal_start, (frame, rx_power), _START))
+                append((t + duration, 0, seq + 1, rx.signal_end, end_args, _END))
+                seq += 2
+            sim.schedule_edges(edges)
             return
 
         # Batch path — pass 1 resolves, in attach order, every candidate to
         # either an exact (rx, gain, dist) or a sound below-floor cull.
         # Cache misses are parked (a placeholder keeps their slot in the
-        # order) and bulk-evaluated, then pass 2 schedules strictly in
-        # attach order, so event sequence numbers match the brute scan.
+        # order) and bulk-evaluated, then pass 2 numbers the edges strictly
+        # in attach order, so sequence numbers match the brute scan.
         resolved: list[tuple[Radio, float, float] | None] = []
-        append = resolved.append
+        resolve = resolved.append
         misses: list[tuple[int, _RadioEntry, tuple[float, float], int]] = []
         for cand in candidates:
             rx = cand.radio
@@ -654,10 +670,10 @@ class Channel:
                     gain = gain_at(dist)
                     links[cand.seq] = (rx_epoch, gain, dist, True)
                 if tx_power * gain >= floor:
-                    append((rx, gain, dist))
+                    resolve((rx, gain, dist))
                 continue
             misses.append((len(resolved), cand, rx_pos, rx_epoch))
-            append(None)
+            resolve(None)
 
         if misses:
             if len(misses) >= _BATCH_MIN_MISSES:
@@ -700,21 +716,11 @@ class Channel:
                 continue
             rx, gain, dist = item
             rx_power = tx_power * gain
-            delay = dist / SPEED_OF_LIGHT if model_delay else 0.0
-            schedule(
-                now + delay,
-                rx.signal_start,
-                args=(frame, rx_power),
-                priority=1,
-                label="phy.sig_start",
-            )
-            schedule(
-                now + delay + duration,
-                rx.signal_end,
-                args=(frame_id,),
-                priority=0,
-                label="phy.sig_end",
-            )
+            t = now + (dist / SPEED_OF_LIGHT if model_delay else 0.0)
+            append((t, 1, seq, rx.signal_start, (frame, rx_power), _START))
+            append((t + duration, 0, seq + 1, rx.signal_end, end_args, _END))
+            seq += 2
+        sim.schedule_edges(edges)
 
     # --------------------------------------------------------------- queries
 

@@ -429,7 +429,18 @@ class Radio:
     # -------------------------------------------------------------- receive
 
     def signal_start(self, frame: PhyFrame, rx_power_w: float) -> None:
-        """A signal's leading edge reached this radio (called by the channel)."""
+        """A signal's leading edge reached this radio (called by the channel).
+
+        Handler contract: the channel delivers this and :meth:`signal_end`
+        as kernel events or, on the indexed fan-out, as edges of an
+        uncancellable batch (:meth:`~repro.sim.kernel.Simulator.schedule_edges`).
+        Either way it runs once, at its own time with ``sim.now`` set, in
+        the ``(time, priority, seq)`` order; no :class:`~repro.sim.event.Event`
+        need exist for it, so nothing may try to cancel it.  It may
+        schedule or cancel other events and call ``stop()``.  Edges of
+        frames already in flight are still delivered after a
+        :meth:`~repro.phy.channel.Channel.detach`.
+        """
         faults = self.faults
         if faults is not None:
             # Link fade: attenuation-only, applied at the receiver so the
@@ -487,7 +498,11 @@ class Radio:
             self._report_busy()
 
     def signal_end(self, frame_id: int) -> None:
-        """A signal's trailing edge passed this radio (called by the channel)."""
+        """A signal's trailing edge passed this radio (called by the channel).
+
+        Same handler contract as :meth:`signal_start`; an end whose start
+        was never seen (no matching arrival) is ignored.
+        """
         arrival = self._arrivals.pop(frame_id, None)
         if arrival is None:
             return

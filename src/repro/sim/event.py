@@ -10,7 +10,9 @@ Performance note: the heap stores plain ``(time, priority, seq, event)``
 tuples so ordering comparisons run entirely in C tuple comparison — the
 unique ``seq`` guarantees the :class:`Event` object itself is never compared.
 Profiling showed a dataclass ``__lt__`` here cost ~40 % of total runtime on
-paper-scale runs.
+paper-scale runs.  In place of an event, an entry may hold an
+:class:`EdgeBatch`: many uncancellable edges behind one entry keyed by the
+next of them, so most signal edges cost no heap operation at all.
 
 Cancellation is O(1) lazy: a cancelled event stays in the heap but is skipped
 when popped.  This is the standard approach for simulators with heavy timer
@@ -98,8 +100,46 @@ class Event:
         return f"Event(t={self.time!r}, {self.label or 'anon'}, {state})"
 
 
+class EdgeBatch:
+    """An uncancellable run of edges sharing one heap entry.
+
+    ``edges`` holds ``(time, priority, seq, fn, args, label)`` tuples sorted
+    by the ``(time, priority, seq)`` total order; ``pos`` indexes the next
+    edge to fire.  The batch sits in the heap under that edge's key, so it
+    surfaces exactly when a per-edge :class:`Event` with the same key would
+    (see :meth:`repro.sim.kernel.Simulator.schedule_edges`).
+
+    ``fn`` is always None: the loops already test ``fn is None`` to skip
+    cancelled events, so batches share that one test and are told apart by
+    class only off the common path.  A batch is never dead.
+    """
+
+    __slots__ = ("edges", "pos")
+
+    fn = None
+
+    def __init__(self, edges: list[tuple]) -> None:
+        self.edges = edges
+        self.pos = 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"EdgeBatch({len(self.edges) - self.pos} of {len(self.edges)} left)"
+
+
+def _is_dead(item: "Event | EdgeBatch") -> bool:
+    """Whether a heap item is a cancelled event (batches never are)."""
+    return item.fn is None and item.__class__ is not EdgeBatch
+
+
 class EventQueue:
-    """A binary-heap priority queue of :class:`Event` objects."""
+    """A binary-heap priority queue of :class:`Event` objects.
+
+    The heap also holds :class:`EdgeBatch` entries, pushed by
+    :meth:`repro.sim.kernel.Simulator.schedule_edges`.  :meth:`pop` and
+    :meth:`pop_next` return such a batch with its entry removed and its next
+    edge already counted out of ``len``; the caller fires that one edge and
+    re-queues the rest.  ``len`` counts every unfired edge as one event.
+    """
 
     __slots__ = ("_heap", "_seq", "_live", "_dead")
 
@@ -127,22 +167,22 @@ class EventQueue:
         self._live += 1
         return ev
 
-    def pop(self) -> Event | None:
-        """Remove and return the earliest live event, or None if empty.
+    def pop(self) -> Event | EdgeBatch | None:
+        """Remove and return the earliest live item, or None if empty.
 
         Cancelled events are discarded transparently.
         """
         heap = self._heap
         while heap:
-            ev = heapq.heappop(heap)[3]
-            if ev.fn is None:
+            item = heapq.heappop(heap)[3]
+            if _is_dead(item):
                 self._dead -= 1
                 continue
             self._live -= 1
-            return ev
+            return item
         return None
 
-    def pop_next(self, end_time: float) -> Event | None:
+    def pop_next(self, end_time: float) -> Event | EdgeBatch | None:
         """Fused peek+pop: the earliest live event with ``time <= end_time``.
 
         Returns None when the queue is drained or the next live event lies
@@ -154,8 +194,8 @@ class EventQueue:
         heap = self._heap
         while heap:
             entry = heap[0]
-            ev = entry[3]
-            if ev.fn is None:
+            item = entry[3]
+            if _is_dead(item):
                 heapq.heappop(heap)
                 self._dead -= 1
                 continue
@@ -163,13 +203,13 @@ class EventQueue:
                 return None
             heapq.heappop(heap)
             self._live -= 1
-            return ev
+            return item
         return None
 
     def peek_time(self) -> float | None:
         """Time of the earliest live event without removing it."""
         heap = self._heap
-        while heap and heap[0][3].fn is None:
+        while heap and _is_dead(heap[0][3]):
             heapq.heappop(heap)
             self._dead -= 1
         return heap[0][0] if heap else None
@@ -187,7 +227,7 @@ class EventQueue:
         # In-place (slice assignment, not rebinding): the kernel's hot loop
         # holds a direct reference to the heap list across handler calls,
         # and a handler's cancellations can trigger compaction mid-run.
-        heap[:] = [entry for entry in heap if entry[3].fn is not None]
+        heap[:] = [entry for entry in heap if not _is_dead(entry[3])]
         heapq.heapify(heap)
         self._dead = 0
 

@@ -4,30 +4,40 @@ Design notes
 ------------
 The kernel is intentionally tiny — all protocol behaviour lives in the PHY /
 MAC / routing layers, which interact with the kernel only through
-:meth:`Simulator.schedule` / :meth:`Simulator.cancel` and :attr:`Simulator.now`.
-That keeps the hot loop (pop event, advance clock, call handler) free of
-indirection, which matters: a full paper-scale run executes tens of millions
-of events.  Profiling (per the optimisation guide: measure first) showed the
-heap operations and handler dispatch dominate, so the hot loop is *fused*:
+:meth:`Simulator.schedule` / :meth:`Simulator.cancel` and :attr:`Simulator.now`
+(the channel also hands over signal edges via
+:meth:`Simulator.schedule_edges`).  That keeps the hot loop (pop event,
+advance clock, call handler) free of indirection, which matters: a full
+paper-scale run executes tens of millions of events.  Profiling (per the
+optimisation guide: measure first) showed the heap operations and handler
+dispatch dominate, so the hot loop is *fused*:
 :meth:`~repro.sim.event.EventQueue.pop_next` folds the historical
 ``peek_time()`` + ``pop()`` pair into a single heap traversal, and
 :meth:`schedule` / :meth:`schedule_in` inline the queue push (one C-level
 heap operation per event instead of two Python frames).
 
+Signal edges, ~96 % of a paper run's events, skip most of the per-event
+cost: the channel hands over all edges of one transmit as one
+:class:`~repro.sim.event.EdgeBatch`, which holds a single heap entry keyed
+by its next edge.  The fused loop keeps firing a popped batch's edges while
+the next one still sorts before the heap head, so most edges cost no
+:class:`~repro.sim.event.Event` and no heap operation.
+
 The pre-fusion loop survives as ``Simulator(fused=False)`` — the reference
 kernel.  Both dispatch the exact same event sequence (same ``(time,
 priority, seq)`` total order, same ``events_executed``); the equivalence
-suite in ``tests/sim/test_kernel_equivalence.py`` runs whole paper scenarios
-through both and compares results field by field.
+suite in ``tests/sim/test_kernel_equivalence.py`` runs scripted workloads
+and whole paper scenarios through both and compares results field by field.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import isnan
 from time import perf_counter
 from typing import Any, Callable
 
-from repro.sim.event import Event, EventQueue
+from repro.sim.event import EdgeBatch, Event, EventQueue
 
 
 class SimulationError(RuntimeError):
@@ -84,7 +94,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live events still scheduled."""
+        """Number of live events still scheduled (each unfired edge counts)."""
         return len(self._queue)
 
     @property
@@ -135,8 +145,8 @@ class Simulator:
                 f"cannot schedule at t={time!r} before now={self._now!r} "
                 f"({label or fn!r})"
             )
-        # Manually inlined EventQueue.push — this is the single hottest
-        # allocation site in a run (every signal edge and timer lands here).
+        # Manually inlined EventQueue.push — the hottest allocation site
+        # outside signal edges (every timer lands here).
         q = self._queue
         seq = q._seq
         ev = Event(time, priority, seq, fn, label, q, args)
@@ -165,6 +175,52 @@ class Simulator:
         q._live += 1
         return ev
 
+    @property
+    def next_seq(self) -> int:
+        """Sequence number the next scheduled event or edge takes.
+
+        :meth:`schedule_edges` callers number their edges from here.
+        """
+        return self._queue._seq
+
+    def schedule_edges(self, edges: list[tuple]) -> None:
+        """Schedule an uncancellable batch of edges under one heap entry.
+
+        ``edges`` are ``(time, priority, seq, fn, args, label)`` tuples in
+        the order the caller would otherwise pass them to :meth:`schedule`
+        one by one, numbered ``next_seq``, ``next_seq + 1``, ... in that
+        order.  Each edge so keeps the key that call would give it, and
+        dispatch is identical: same order, ``now`` set to each edge's time,
+        one ``events_executed`` and one ``pending_events`` per edge, and the
+        profiler attributes each edge to its ``label``.  No
+        :class:`~repro.sim.event.Event` exists for an edge, so an edge
+        cannot be cancelled: batch only edges that must always fire.
+
+        ``args`` must be a tuple.  Times must be finite and ``>= now``; the
+        earliest is checked.  The list is sorted in place and belongs to
+        the kernel from then on.
+        """
+        n = len(edges)
+        if not n:
+            return
+        q = self._queue
+        seq = q._seq
+        if edges[0][2] != seq or edges[-1][2] != seq + n - 1:
+            raise SimulationError(
+                f"edge seqs {edges[0][2]}..{edges[-1][2]} must run from "
+                f"next_seq {seq} to {seq + n - 1}"
+            )
+        edges.sort()
+        first = edges[0]
+        if not first[0] >= self._now:
+            raise SimulationError(
+                f"cannot schedule an edge at t={first[0]!r} before "
+                f"now={self._now!r} ({first[5] or first[3]!r})"
+            )
+        heappush(q._heap, (first[0], first[1], first[2], EdgeBatch(edges)))
+        q._seq = seq + n
+        q._live += n
+
     def cancel(self, event: Event | None) -> None:
         """Cancel a previously scheduled event (no-op on None / already done).
 
@@ -180,8 +236,12 @@ class Simulator:
         """Dispatch events in order until the queue drains or ``end_time``.
 
         The clock is left at ``end_time`` (or the last event time if the
-        queue drained earlier and that is later — it cannot be).
+        queue drained earlier and that is later — it cannot be).  A NaN
+        ``end_time`` raises :class:`SimulationError`: it would compare false
+        against every event time and drain the whole queue.
         """
+        if isnan(end_time):
+            raise SimulationError("run_until horizon is NaN")
         if self._running:
             raise SimulationError("run_until re-entered — simulator is not reentrant")
         self._running = True
@@ -207,22 +267,64 @@ class Simulator:
         event; inlining removes one Python frame per event, which profiling
         showed is measurable at paper scale.  Queue bookkeeping (``_live`` /
         ``_dead``) is maintained exactly as ``pop_next`` does.
+
+        A popped edge batch keeps firing edges while the next one sorts
+        before the heap head (a plain tuple compare: seqs are unique), lies
+        within ``end_time`` and no ``stop()`` came; then it is re-queued
+        under that edge's key.
         """
         queue = self._queue
         heap = queue._heap
         while heap:
             entry = heap[0]
             ev = entry[3]
-            if ev.fn is None:
+            fn = ev.fn
+            if fn is None:
+                if ev.__class__ is not EdgeBatch:
+                    heappop(heap)  # a cancelled event
+                    queue._dead -= 1
+                    continue
+                if entry[0] > end_time:
+                    break
                 heappop(heap)
-                queue._dead -= 1
+                edges = ev.edges
+                i = ev.pos
+                n = len(edges)
+                try:
+                    while True:
+                        edge = edges[i]
+                        i += 1
+                        queue._live -= 1
+                        self._now = edge[0]
+                        self._events_executed += 1
+                        edge[3](*edge[4])
+                        if i == n:
+                            break
+                        nxt = edges[i]
+                        if (
+                            self._stopped
+                            or nxt[0] > end_time
+                            or (heap and heap[0] < nxt)
+                        ):
+                            ev.pos = i
+                            heappush(heap, (nxt[0], nxt[1], nxt[2], ev))
+                            break
+                except BaseException:
+                    # A handler raised: the unfired edges stay queued, as
+                    # per-edge events would.
+                    if i < n:
+                        ev.pos = i
+                        nxt = edges[i]
+                        heappush(heap, (nxt[0], nxt[1], nxt[2], ev))
+                    raise
+                if self._stopped:
+                    break
                 continue
             if entry[0] > end_time:
                 break
             heappop(heap)
             queue._live -= 1
             self._now = ev.time
-            fn = ev.fn
             ev.fn = None  # mark consumed; cheap guard against re-fire
             self._events_executed += 1
             args = ev.args
@@ -233,13 +335,34 @@ class Simulator:
             if self._stopped:
                 break
 
+    def _take_edge(self, batch: EdgeBatch) -> tuple:
+        """Advance to ``batch``'s next edge, re-queue the rest, return it.
+
+        The caller popped the batch (which counted the edge out of
+        ``pending_events``) and fires the returned edge.  Shared by the
+        reference loop, the profiled loop and :meth:`step`; the fused loop
+        inlines the same steps.
+        """
+        edges = batch.edges
+        i = batch.pos
+        edge = edges[i]
+        i += 1
+        if i < len(edges):
+            batch.pos = i
+            nxt = edges[i]
+            heappush(self._queue._heap, (nxt[0], nxt[1], nxt[2], batch))
+        self._now = edge[0]
+        self._events_executed += 1
+        return edge
+
     def _run_profiled(self, end_time: float) -> None:
         """The fused loop with a ``perf_counter`` pair around each dispatch.
 
         Same event order as :meth:`_run_fused`; attribution is keyed by the
         schedule ``label`` (empty labels fall back to the handler's
-        ``__qualname__``).  The timing overhead is real wall time — results
-        feed :class:`repro.obs.profile.ProfileReport`, never benchmarks.
+        ``__qualname__``), per edge for batched edges.  The timing overhead
+        is real wall time — results feed
+        :class:`repro.obs.profile.ProfileReport`, never benchmarks.
         """
         queue = self._queue
         profile = self._profile
@@ -249,12 +372,16 @@ class Simulator:
             ev = pop_next(end_time)
             if ev is None:
                 break
-            self._now = ev.time
-            fn = ev.fn
-            ev.fn = None
-            self._events_executed += 1
-            kind = ev.label or getattr(fn, "__qualname__", "") or type(fn).__name__
-            args = ev.args
+            if ev.__class__ is EdgeBatch:
+                _, _, _, fn, args, label = self._take_edge(ev)
+            else:
+                self._now = ev.time
+                fn = ev.fn
+                ev.fn = None
+                self._events_executed += 1
+                args = ev.args
+                label = ev.label
+            kind = label or getattr(fn, "__qualname__", "") or type(fn).__name__
             t0 = perf_counter()
             if args is None:
                 fn()
@@ -271,7 +398,10 @@ class Simulator:
                 break
 
     def _run_reference(self, end_time: float) -> None:
-        """The pre-fusion loop (peek, compare, pop) — the dispatch oracle."""
+        """The pre-fusion loop (peek, compare, pop) — the dispatch oracle.
+
+        Edge batches fire one edge per iteration, like events.
+        """
         queue = self._queue
         while True:
             if self._stopped:
@@ -280,6 +410,10 @@ class Simulator:
             if nxt is None or nxt > end_time:
                 break
             ev = queue.pop()
+            if ev.__class__ is EdgeBatch:
+                edge = self._take_edge(ev)
+                edge[3](*edge[4])
+                continue
             assert ev is not None and ev.fn is not None
             self._now = ev.time
             fn = ev.fn
@@ -296,6 +430,10 @@ class Simulator:
         ev = self._queue.pop()
         if ev is None:
             return False
+        if ev.__class__ is EdgeBatch:
+            edge = self._take_edge(ev)
+            edge[3](*edge[4])
+            return True
         assert ev.fn is not None
         self._now = ev.time
         fn = ev.fn

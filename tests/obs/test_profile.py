@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from repro.builder import NetworkBuilder
+from repro.config import ScenarioConfig
 from repro.obs.profile import ProfileEntry, ProfileReport
+from repro.scenariospec import ComponentSpec, ScenarioSpec
 from repro.sim.kernel import Simulator
 
 
@@ -84,6 +87,25 @@ class TestProfiledKernel:
         sim.run_until(10.0)
         assert fired == ["yes"]
         assert "dead" not in sim.profile
+
+
+class TestBatchedEdgeAttribution:
+    def test_batched_edges_count_per_label_like_per_event_edges(self):
+        """The indexed fan-out batches signal edges, the brute one schedules
+        each as an event: the profile must not tell them apart."""
+        spec = ScenarioSpec(
+            cfg=ScenarioConfig(node_count=10, duration_s=3.0, seed=3),
+            mac="pcmac",
+            observability=ComponentSpec("flight", interval_s=1.0),
+        )
+        calls = {}
+        for indexed in (True, False):
+            result = NetworkBuilder(spec, spatial_index=indexed).build().run()
+            assert result.profile.total_events == result.events_executed
+            calls[indexed] = {e.kind: e.calls for e in result.profile.entries}
+        assert calls[True] == calls[False]
+        assert calls[True]["phy.sig_start"] > 0 and calls[True]["phy.sig_end"] > 0
+        assert not any("signal_" in kind for kind in calls[True])
 
 
 class TestProfileReport:

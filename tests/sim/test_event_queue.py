@@ -208,3 +208,17 @@ class TestNanTimes:
         assert sim.now == 2.0
         with pytest.raises(SimulationError):
             sim.schedule(1.5, lambda: None)
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
+    def test_nan_horizon_is_rejected_and_nothing_fires(self, fused):
+        # Regression: ``time > nan`` is False for every event time, so
+        # run_until(nan) drained the whole queue and left ``now`` at 1e6.
+        sim = Simulator(fused=fused)
+        fired = []
+        for t in (1.0, 5.0, 1e6):
+            sim.schedule(t, lambda t=t: fired.append(t))
+        with pytest.raises(SimulationError):
+            sim.run_until(float("nan"))
+        assert fired == [] and sim.now == 0.0 and sim.pending_events == 3
+        sim.run_until(2.0)  # still usable afterwards
+        assert fired == [1.0] and sim.now == 2.0

@@ -110,3 +110,74 @@ class TestExecution:
         sim.schedule(1.0, lambda: order.append("c"))
         sim.run_until(2.0)
         assert order == ["a", "b", "c"]
+
+
+def _edges(sim, items, fn):
+    """Edge tuples for ``[(time, priority)]``, numbered from ``next_seq``."""
+    seq = sim.next_seq
+    return [(t, p, seq + k, fn, (k,), "edge") for k, (t, p) in enumerate(items)]
+
+
+class TestEdgeBatches:
+    def test_edges_fire_in_key_order_and_count_one_by_one(self, sim):
+        fired = []
+        sim.schedule_edges(
+            _edges(sim, [(2.0, 1), (1.0, 0), (1.0, 1), (2.0, 0)],
+                   lambda k: fired.append((sim.now, k)))
+        )
+        assert sim.pending_events == 4 and sim.next_seq == 4
+        sim.run_until(1.5)
+        assert fired == [(1.0, 1), (1.0, 2)]
+        assert sim.events_executed == 2 and sim.pending_events == 2
+        sim.run_until(3.0)
+        assert fired[2:] == [(2.0, 3), (2.0, 0)]
+        assert sim.events_executed == 4 and sim.pending_events == 0
+
+    def test_events_interleave_with_a_batch(self, sim):
+        order = []
+        sim.schedule_edges(_edges(sim, [(1.0, 0), (3.0, 0)], order.append))
+        sim.schedule(2.0, lambda: order.append("event"))
+        sim.run_until(5.0)
+        assert order == [0, "event", 1]
+
+    def test_step_takes_one_edge(self, sim):
+        fired = []
+        sim.schedule_edges(_edges(sim, [(1.0, 0), (2.0, 0)], fired.append))
+        assert sim.step() and fired == [0] and sim.now == 1.0
+        assert sim.pending_events == 1
+        assert sim.step() and fired == [0, 1]
+        assert not sim.step()
+
+    def test_empty_batch_is_a_no_op(self, sim):
+        sim.schedule_edges([])
+        assert sim.pending_events == 0 and sim.next_seq == 0
+
+    def test_stale_seqs_are_rejected(self, sim):
+        edges = _edges(sim, [(1.0, 0)], print)
+        sim.schedule(0.5, lambda: None)  # takes the seq the edges reserved
+        with pytest.raises(SimulationError):
+            sim.schedule_edges(edges)
+        assert sim.pending_events == 1
+
+    def test_edges_in_the_past_are_rejected(self, sim):
+        sim.run_until(1.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_edges(_edges(sim, [(2.0, 0), (0.5, 0)], print))
+        assert sim.pending_events == 0 and sim.next_seq == 0
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
+    def test_a_raising_edge_leaves_the_rest_queued(self, fused):
+        sim = Simulator(fused=fused)
+        fired = []
+
+        def edge(k):
+            fired.append(k)
+            if k == 0:
+                raise RuntimeError("handler failed")
+
+        sim.schedule_edges(_edges(sim, [(1.0, 0), (2.0, 0)], edge))
+        with pytest.raises(RuntimeError):
+            sim.run_until(5.0)
+        assert sim.pending_events == 1
+        sim.run_until(5.0)
+        assert fired == [0, 1] and sim.events_executed == 2
