@@ -46,21 +46,14 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   gain exactly once, and mobile scenarios get hits during pause legs and
   repeated same-instant samples.  Radios whose mobility bound is 0 m/s are
   flagged static at attach and skip position polling entirely.
-* **Batched gain evaluation with conservative culling.**  When a transmit
-  finds many cache-missed candidates (a mobile source after movement, or a
-  first transmit), their gains are evaluated in one
-  :meth:`~repro.phy.propagation.PropagationModel.gain_at_many` numpy call.
-  Bulk gains match the scalar path only to ~1 ulp, so they are used
-  **solely to cull** candidates whose received power falls below the
-  interference floor by a safety margin; every candidate that might cross
-  the floor gets the exact scalar ``gain_at`` value, and *only* exact
-  gains ever reach a scheduled edge or a reusable cache entry (approximate
-  entries are cached with an ``exact=False`` flag and upgraded on demand).
-  Edges are numbered in a second pass, strictly in attach order, so event
-  sequence numbers — and with them same-time tie-breaking — are untouched.
+* **One survivor builder.**  A single scalar loop visits the candidate
+  block in attach order and resolves each radio to a received power and a
+  delay, or culls it below the floor.  Its ``[(rx, rx_power, delay)]``
+  list is the whole per-transmit answer; one shared tail numbers it into
+  edges.
 * **Static replay.**  In an all-static world (``max_speed_mps == 0``) the
-  survivor list of each ``(source, tx power)`` is computed once through
-  the scalar path and replayed on every later transmit.
+  survivor list of each ``(source, tx power)`` is built once and replayed
+  on every later transmit.
 * **Edge batches.**  The brute scan schedules every edge as its own event;
   the indexed path hands all edges of one transmit to the kernel in one
   :meth:`~repro.sim.kernel.Simulator.schedule_edges` call, numbered with
@@ -88,32 +81,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.phy.frame import PhyFrame
 from repro.phy.propagation import PropagationModel, distance
 from repro.phy.radio import Radio
 from repro.sim.kernel import Simulator
 from repro.units import SPEED_OF_LIGHT
 
-
-#: Minimum cache-missed candidates before gains are evaluated in one numpy
-#: batch; below this the scalar loop wins (numpy call overhead dominates —
-#: measured crossover on CPython 3.11 sits around two dozen links).
-_BATCH_MIN_MISSES = 24
-
-#: Adaptive gate for the batch path: after this many bulk-evaluated links,
-#: batching is abandoned for the run unless at least ``_BATCH_MIN_CULL_NUM /
-#: _BATCH_MIN_CULL_DEN`` of them were culled.  Bulk gains can only *cull*
-#: (scheduled powers always come from the scalar path), so in dense fields
-#: where every candidate is above the interference floor the batch is pure
-#: extra work — the gate caps that waste at a fixed, trivial amount while
-#: keeping the win in sparse fields where most of a 3×3 block is out of
-#: range.  The decision depends only on simulated data, never on wall time,
-#: and the event schedule is identical either way.
-_BATCH_PROBE_LINKS = 4096
-_BATCH_MIN_CULL_NUM = 1
-_BATCH_MIN_CULL_DEN = 4
 
 #: Upper bound on memoised static fan-outs (keys are ``(src_seq,
 #: tx_power)``, so continuous-power protocols could otherwise grow the
@@ -209,12 +182,6 @@ class Channel:
         self.sim = sim
         self.propagation = propagation
         self.interference_floor_w = interference_floor_w
-        #: Conservative cull threshold for *approximate* (bulk) gains: a
-        #: candidate is skipped without an exact computation only when its
-        #: approximate received power misses the floor by a margin far wider
-        #: than the bulk path's ~1 ulp error, so no reachable radio can be
-        #: culled.  Borderline candidates fall through to the exact gain.
-        self._cull_floor = interference_floor_w * (1.0 - 1e-9)
         self.model_propagation_delay = model_propagation_delay
         self.name = name
         self._radios: list[Radio] = []
@@ -228,22 +195,13 @@ class Channel:
         #: scenarios therefore sort each 3×3 block exactly once.
         self._blocks: dict[tuple[int, int], list[_RadioEntry]] = {}
         #: Per-link gain cache: src_seq → (src_epoch, {rx_seq: (rx_epoch,
-        #: gain, dist, exact)}).  A source's inner dict is dropped wholesale
-        #: when its epoch advances (none of its entries can hit again), and a
+        #: gain, dist)}).  A source's inner dict is dropped wholesale when
+        #: its epoch advances (none of its entries can hit again), and a
         #: receiver's slot is overwritten on epoch mismatch, so memory is
         #: O(pairs currently in range), not O(pairs ever in range) —
-        #: static scenarios still keep every link gain forever.  ``exact``
-        #: marks gains computed by the scalar ``gain_at`` (usable for event
-        #: powers); False marks bulk ``gain_at_many`` values, sound only for
-        #: below-floor culling and upgraded to exact on demand.
-        self._gains: dict[
-            int, tuple[int, dict[int, tuple[int, float, float, bool]]]
-        ] = {}
+        #: static scenarios still keep every link gain forever.
+        self._gains: dict[int, tuple[int, dict[int, tuple[int, float, float]]]] = {}
         self._next_seq = 0
-        #: Batch-gate bookkeeping (see _BATCH_PROBE_LINKS).
-        self._batch_enabled = True
-        self._batch_links = 0
-        self._batch_culled = 0
         #: All-static fast path: with ``max_speed_mps == 0`` every attached
         #: radio is pinned (attach enforces the bound), so the fan-out of a
         #: given (source, tx power) never changes — cache it as a replayable
@@ -390,79 +348,92 @@ class Channel:
             self._blocks[block_key] = candidates
         return candidates
 
-    def _build_static_fanout(
-        self, entry: _RadioEntry, tx_power: float
+    def _survivors(
+        self, src: Radio, entry: _RadioEntry | None, tx_power: float, now: float
     ) -> list[tuple[Radio, float, float]]:
-        """Survivor list ``[(rx, rx_power, delay)]`` for one static source.
+        """Radios above the floor as ``[(rx, rx_power, delay)]``, attach order.
 
-        Computed exactly as the dynamic scalar path would (same candidate
-        block, same attach-order visit, same cache-consistent ``gain_at``
-        values, same ``tx_power * gain`` products), so replaying it is
-        bit-identical to re-running the loop.  Only valid in an all-static
-        world (``max_speed_mps == 0``); invalidated on attach/detach.
-
-        NOTE: the per-candidate resolve below is deliberately duplicated
-        across this method, the scalar path and batch pass 1 of
-        ``_fanout_indexed`` (a shared helper would cost one Python call per
-        candidate per transmit on the hottest loop).  Any change to the
-        cull/cache rule must be applied to all three in lockstep — the
-        equivalence suite (``tests/phy/test_channel_equivalence.py``, whose
-        static cases run max_speed 0 and therefore exercise this replay
-        path against the brute oracle) is the enforcement.
+        The one resolve loop of the indexed fan-out, shared by static replay
+        and the mobile path.  The candidate block is a superset of every
+        radio above the interference floor, and a cached gain and distance
+        are reused only while both endpoints' movement epochs match (so they
+        were computed from identical positions): every power and delay is
+        the float :meth:`_fanout_brute` computes.
         """
-        src_pos = entry.pos
-        src_epoch = entry.epoch
-        cached = self._gains.get(entry.seq)
-        if cached is None or cached[0] != src_epoch:
-            links = {}
-            self._gains[entry.seq] = (src_epoch, links)
+        if entry is None:
+            # Unattached transmitter: legal (the brute path allows it), but
+            # there is no entry to key the cache on — use a throwaway one.
+            src_pos = src.position
+            links: dict[int, tuple[int, float, float]] = {}
         else:
-            links = cached[1]
+            if entry.static:
+                src_pos = entry.pos
+                src_epoch = entry.epoch
+            else:
+                src_pos, src_epoch = entry.poll(now)
+                self._move_to_cell(entry, src_pos)
+            cached = self._gains.get(entry.seq)
+            if cached is None or cached[0] != src_epoch:
+                # The source moved: none of its cached links can hit again,
+                # so drop them wholesale (bounds the cache for mobile runs).
+                links = {}
+                self._gains[entry.seq] = (src_epoch, links)
+            else:
+                links = cached[1]
         size = self._cell_size
         candidates = self._block_candidates(
             (int(src_pos[0] // size), int(src_pos[1] // size))
         )
 
         floor = self.interference_floor_w
-        cull_floor = self._cull_floor
         gain_at = self.propagation.gain_at
         model_delay = self.model_propagation_delay
-        src_radio = entry.radio
         out: list[tuple[Radio, float, float]] = []
+        append = out.append
         for cand in candidates:
             rx = cand.radio
-            if rx is src_radio:
+            if rx is src:
                 continue
-            rx_epoch = cand.epoch
+            if cand.static:
+                rx_pos = cand.pos
+                rx_epoch = cand.epoch
+            else:
+                rx_pos, rx_epoch = cand.poll_mob(now)
             hit = links.get(cand.seq)
             if hit is not None and hit[0] == rx_epoch:
                 gain = hit[1]
                 dist = hit[2]
-                if not hit[3]:
-                    if tx_power * gain < cull_floor:
-                        continue
-                    gain = gain_at(dist)
-                    links[cand.seq] = (rx_epoch, gain, dist, True)
             else:
-                dist = distance(src_pos, cand.pos)
+                dist = distance(src_pos, rx_pos)
                 gain = gain_at(dist)
-                links[cand.seq] = (rx_epoch, gain, dist, True)
+                links[cand.seq] = (rx_epoch, gain, dist)
             rx_power = tx_power * gain
             if rx_power < floor:
                 continue
-            delay = dist / SPEED_OF_LIGHT if model_delay else 0.0
-            out.append((rx, rx_power, delay))
+            append((rx, rx_power, dist / SPEED_OF_LIGHT if model_delay else 0.0))
         return out
 
     # ------------------------------------------------------------------ TX
 
     def transmit(self, src: Radio, frame: PhyFrame) -> None:
-        """Emit ``frame`` from ``src`` and fan out edges to other radios."""
-        src.begin_tx(frame)
+        """Emit ``frame`` from ``src`` and fan out edges to other radios.
+
+        With the spatial index active, a frame above ``max_tx_power_w`` is
+        refused before the radio is keyed, so the refusal leaves the radio
+        untouched (not transmitting, no stats, no pending TX end).
+        """
         if self._cell_size is None:
+            src.begin_tx(frame)
             self._fanout_brute(src, frame)
-        else:
-            self._fanout_indexed(src, frame)
+            return
+        if frame.tx_power_w > self._max_tx_power_w:
+            raise ValueError(
+                f"tx power {frame.tx_power_w!r} W exceeds the channel's "
+                f"max_tx_power_w {self._max_tx_power_w!r} — the spatial index "
+                "cannot guarantee reachability beyond it"
+            )
+        src.begin_tx(frame)
+        self._fanout_indexed(src, frame)
 
     def _fanout_brute(self, src: Radio, frame: PhyFrame) -> None:
         """Reference fan-out: scan every radio, recompute every gain.
@@ -506,217 +477,39 @@ class Channel:
             )
 
     def _fanout_indexed(self, src: Radio, frame: PhyFrame) -> None:
-        """Grid-indexed fan-out with epoch-cached, batch-culled gains.
+        """Grid-indexed fan-out: :meth:`_survivors`, then one edge batch.
 
         Produces the exact event schedule of :meth:`_fanout_brute`: the
-        candidate set is a superset of every radio above the interference
-        floor, gains/distances reuse only values computed from identical
-        positions (validated by movement epochs), bulk-evaluated gains are
-        used only to cull candidates safely below the floor (scheduled
-        powers are always the scalar ``gain_at`` value), and edges are
-        numbered in attach order so same-time ties break identically.  All
-        edges go to the kernel as one batch (see the module docs).
+        survivors come in attach order and take the seqs the brute scan's
+        ``schedule`` calls would (receiver *i*: start ``base + 2i``, end
+        ``base + 2i + 1``), so same-time ties break identically.  In an
+        all-static world a ``(source, tx power)`` survivor list can never
+        change, so it is memoised and replayed.
         """
-        if frame.tx_power_w > self._max_tx_power_w:
-            raise ValueError(
-                f"tx power {frame.tx_power_w!r} W exceeds the channel's "
-                f"max_tx_power_w {self._max_tx_power_w!r} — the spatial index "
-                "cannot guarantee reachability beyond it"
-            )
         sim = self.sim
         now = sim.now
-        if self._max_speed_mps == 0.0:
-            # All-static world: the survivor set, received powers and delays
-            # for this (source, tx power) can never change — replay the
-            # precomputed fan-out (built through the normal scalar path the
-            # first time, so every float is bit-identical to it).
-            entry = self._entries.get(src)
-            if entry is not None:
-                key = (entry.seq, frame.tx_power_w)
-                fanouts = self._static_fanouts
-                hits = fanouts.get(key)
-                if hits is None:
-                    hits = self._build_static_fanout(entry, frame.tx_power_w)
-                    if len(fanouts) >= _STATIC_FANOUT_CAP:
-                        fanouts.clear()
-                    fanouts[key] = hits
-                duration = frame.duration_s
-                end_args = (frame.frame_id,)
-                seq = sim.next_seq
-                edges = []
-                append = edges.append
-                for rx, rx_power, delay in hits:
-                    t = now + delay
-                    append((t, 1, seq, rx.signal_start, (frame, rx_power), _START))
-                    append((t + duration, 0, seq + 1, rx.signal_end, end_args, _END))
-                    seq += 2
-                sim.schedule_edges(edges)
-                return
-        if now >= self._reindex_due_at:
-            self._reindex(now)
-        size = self._cell_size
-        entry = self._entries.get(src)
-        if entry is not None:
-            if entry.static:
-                src_pos = entry.pos
-                src_epoch = entry.epoch
-            else:
-                src_pos, src_epoch = entry.poll(now)
-                self._move_to_cell(entry, src_pos)
-            cached = self._gains.get(entry.seq)
-            if cached is None or cached[0] != src_epoch:
-                # The source moved: none of its cached links can hit again,
-                # so drop them wholesale (bounds the cache for mobile runs).
-                links: dict | None = {}
-                self._gains[entry.seq] = (src_epoch, links)
-            else:
-                links = cached[1]
-        else:
-            # Unattached transmitter: legal (the brute path allows it), but
-            # there is no entry to key the cache on — compute directly.
-            src_pos = src.position
-            links = None
-        candidates = self._block_candidates(
-            (int(src_pos[0] // size), int(src_pos[1] // size))
-        )
-
         tx_power = frame.tx_power_w
-        floor = self.interference_floor_w
-        cull_floor = self._cull_floor
-        gain_at = self.propagation.gain_at
+        entry = self._entries.get(src)
+        if self._max_speed_mps == 0.0 and entry is not None:
+            key = (entry.seq, tx_power)
+            fanouts = self._static_fanouts
+            hits = fanouts.get(key)
+            if hits is None:
+                hits = self._survivors(src, entry, tx_power, now)
+                if len(fanouts) >= _STATIC_FANOUT_CAP:
+                    fanouts.clear()
+                fanouts[key] = hits
+        else:
+            if now >= self._reindex_due_at:
+                self._reindex(now)
+            hits = self._survivors(src, entry, tx_power, now)
         duration = frame.duration_s
-        model_delay = self.model_propagation_delay
         end_args = (frame.frame_id,)
-        # The seqs the brute path's schedule calls would take: receiver i (in
-        # attach order) gets start = base + 2i and end = base + 2i + 1.
         seq = sim.next_seq
         edges: list[tuple] = []
         append = edges.append
-
-        # Expected cache misses ≈ candidates not yet in the link cache; with
-        # a fully warm cache (static scenarios after the first transmit per
-        # source) this is ~0 and the single-pass scalar loop is optimal.
-        if not (
-            self._batch_enabled
-            and links is not None
-            and len(candidates) - len(links) >= _BATCH_MIN_MISSES
-        ):
-            # Scalar fast path: one pass in attach order, building edges
-            # inline (identical structure to the historical loop, so dense
-            # fields — where the batch gate has tripped — pay no two-pass
-            # overhead).
-            for cand in candidates:
-                rx = cand.radio
-                if rx is src:
-                    continue
-                if cand.static:
-                    rx_pos = cand.pos
-                    rx_epoch = cand.epoch
-                else:
-                    rx_pos, rx_epoch = cand.poll_mob(now)
-                if links is not None:
-                    hit = links.get(cand.seq)
-                    if hit is not None and hit[0] == rx_epoch:
-                        gain = hit[1]
-                        dist = hit[2]
-                        if not hit[3]:
-                            # Approximate (bulk) gain: good for culling only.
-                            # At a higher tx power it may cross — upgrade.
-                            if tx_power * gain < cull_floor:
-                                continue
-                            gain = gain_at(dist)
-                            links[cand.seq] = (rx_epoch, gain, dist, True)
-                    else:
-                        dist = distance(src_pos, rx_pos)
-                        gain = gain_at(dist)
-                        links[cand.seq] = (rx_epoch, gain, dist, True)
-                else:
-                    dist = distance(src_pos, rx_pos)
-                    gain = gain_at(dist)
-                rx_power = tx_power * gain
-                if rx_power < floor:
-                    continue
-                t = now + (dist / SPEED_OF_LIGHT if model_delay else 0.0)
-                append((t, 1, seq, rx.signal_start, (frame, rx_power), _START))
-                append((t + duration, 0, seq + 1, rx.signal_end, end_args, _END))
-                seq += 2
-            sim.schedule_edges(edges)
-            return
-
-        # Batch path — pass 1 resolves, in attach order, every candidate to
-        # either an exact (rx, gain, dist) or a sound below-floor cull.
-        # Cache misses are parked (a placeholder keeps their slot in the
-        # order) and bulk-evaluated, then pass 2 numbers the edges strictly
-        # in attach order, so sequence numbers match the brute scan.
-        resolved: list[tuple[Radio, float, float] | None] = []
-        resolve = resolved.append
-        misses: list[tuple[int, _RadioEntry, tuple[float, float], int]] = []
-        for cand in candidates:
-            rx = cand.radio
-            if rx is src:
-                continue
-            if cand.static:
-                rx_pos = cand.pos
-                rx_epoch = cand.epoch
-            else:
-                rx_pos, rx_epoch = cand.poll_mob(now)
-            hit = links.get(cand.seq)
-            if hit is not None and hit[0] == rx_epoch:
-                gain = hit[1]
-                dist = hit[2]
-                if not hit[3]:
-                    if tx_power * gain < cull_floor:
-                        continue
-                    gain = gain_at(dist)
-                    links[cand.seq] = (rx_epoch, gain, dist, True)
-                if tx_power * gain >= floor:
-                    resolve((rx, gain, dist))
-                continue
-            misses.append((len(resolved), cand, rx_pos, rx_epoch))
-            resolve(None)
-
-        if misses:
-            if len(misses) >= _BATCH_MIN_MISSES:
-                # One vectorised gain evaluation for all missed links; the
-                # distances stay scalar (they feed delays and the cache).
-                dists = [distance(src_pos, m[2]) for m in misses]
-                bulk = self.propagation.gain_at_many(np.asarray(dists))
-                culled = 0
-                for (idx, cand, _pos, rx_epoch), dist, approx in zip(
-                    misses, dists, bulk
-                ):
-                    approx = float(approx)
-                    if tx_power * approx < cull_floor:
-                        links[cand.seq] = (rx_epoch, approx, dist, False)
-                        culled += 1
-                        continue
-                    gain = gain_at(dist)
-                    links[cand.seq] = (rx_epoch, gain, dist, True)
-                    if tx_power * gain >= floor:
-                        resolved[idx] = (cand.radio, gain, dist)
-                self._batch_links += len(misses)
-                self._batch_culled += culled
-                if (
-                    self._batch_links >= _BATCH_PROBE_LINKS
-                    and self._batch_culled * _BATCH_MIN_CULL_DEN
-                    < self._batch_links * _BATCH_MIN_CULL_NUM
-                ):
-                    # Dense field: bulk culling is not paying for itself.
-                    self._batch_enabled = False
-            else:
-                for idx, cand, rx_pos, rx_epoch in misses:
-                    dist = distance(src_pos, rx_pos)
-                    gain = gain_at(dist)
-                    links[cand.seq] = (rx_epoch, gain, dist, True)
-                    if tx_power * gain >= floor:
-                        resolved[idx] = (cand.radio, gain, dist)
-
-        for item in resolved:
-            if item is None:
-                continue
-            rx, gain, dist = item
-            rx_power = tx_power * gain
-            t = now + (dist / SPEED_OF_LIGHT if model_delay else 0.0)
+        for rx, rx_power, delay in hits:
+            t = now + delay
             append((t, 1, seq, rx.signal_start, (frame, rx_power), _START))
             append((t + duration, 0, seq + 1, rx.signal_end, end_args, _END))
             seq += 2

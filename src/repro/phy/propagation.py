@@ -19,29 +19,12 @@ crossover distance, numerator products, the embedded Friis model — is
 precomputed in ``__post_init__`` rather than rebuilt per call.  The extra
 attributes are set with ``object.__setattr__`` so the dataclasses stay
 frozen, hashable and comparable on their declared fields only.
-
-Bulk gains cull, scalar gains schedule
---------------------------------------
-``gain_at_many`` is the numpy bulk counterpart of ``gain_at``.  The
-channel uses it only to *cull* candidates whose received power falls far
-below the interference floor; every power that reaches a scheduled event
-comes from the scalar ``gain_at``.  So the bulk path need only agree with
-the scalar path to within a tiny relative tolerance (far inside the
-channel's ``1e-9`` cull margin), which
-``tests/phy/test_propagation_exactness.py`` checks for every model.
-:class:`FreeSpace` and :class:`TwoRayGround` spell both paths as the same
-correctly-rounded operations (``fpd * fpd``, ``(d·d)·(d·d)``), so they in
-fact agree exactly; :class:`LogDistanceShadowing` needs a non-integer power
-and agrees to ~1 ulp.  :func:`distance` is ``sqrt(dx² + dy²)`` for the
-same reason.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.units import db_to_ratio, wavelength
 
@@ -60,9 +43,10 @@ _FOUR_PI = 4.0 * math.pi
 def distance(a: Position, b: Position) -> float:
     """Euclidean distance between two planar positions [m].
 
-    Spelled ``sqrt(dx*dx + dy*dy)`` — three correctly-rounded operations a
-    numpy array expression reproduces bit-for-bit (see the module docstring;
-    ``math.hypot`` would not).  Overflow is not a concern at field scale.
+    Spelled ``sqrt(dx*dx + dy*dy)``, three correctly-rounded operations,
+    and not ``math.hypot``, whose result can differ in the last bit: the
+    golden fingerprints in ``bench/golden.json`` pin every float this
+    feeds.  Overflow is not a concern at field scale.
     """
     dx = a[0] - b[0]
     dy = a[1] - b[1]
@@ -80,20 +64,6 @@ class PropagationModel:
         """Linear gain at a given distance [m]."""
         raise NotImplementedError
 
-    def gain_at_many(self, distances_m) -> np.ndarray:
-        """Vectorised :meth:`gain_at` over an array of distances [m].
-
-        The base implementation loops; models override it with closed-form
-        numpy expressions that match the scalar path to within a tiny
-        relative tolerance, so callers treat them as approximate (cull-only
-        in the channel fan-out).
-        """
-        d = np.asarray(distances_m, dtype=float)
-        out = np.fromiter(
-            (self.gain_at(float(x)) for x in d.ravel()), dtype=float, count=d.size
-        )
-        return out.reshape(d.shape)
-
     def range_for(self, tx_power_w: float, threshold_w: float) -> float:
         """Largest distance at which received power still meets ``threshold_w``.
 
@@ -108,9 +78,8 @@ class PropagationModel:
 class FreeSpace(PropagationModel):
     """Friis free-space model: ``Pr = Pt·Gt·Gr·λ² / ((4π d)² L)``.
 
-    The ``(4πd)²`` factor is computed as ``fpd * fpd`` in both the scalar
-    and bulk paths: each step is a single correctly-rounded multiply, so the
-    two paths agree exactly.
+    The ``(4πd)²`` factor is computed as ``fpd * fpd``: each step is a
+    single correctly-rounded multiply.
     """
 
     frequency_hz: float = 914e6
@@ -134,12 +103,6 @@ class FreeSpace(PropagationModel):
         fpd = _FOUR_PI * d
         return self._numerator / (fpd * fpd * self.system_loss)
 
-    def gain_at_many(self, distances_m) -> np.ndarray:
-        """Vectorized Friis gains (same operations, same order as ``gain_at``)."""
-        d = np.maximum(np.asarray(distances_m, dtype=float), MIN_DISTANCE_M)
-        fpd = _FOUR_PI * d
-        return self._numerator / (fpd * fpd * self.system_loss)
-
     def gain(self, tx_pos: Position, rx_pos: Position) -> float:
         """Gain between two positions (Euclidean distance, then Friis)."""
         return self.gain_at(distance(tx_pos, rx_pos))
@@ -159,9 +122,7 @@ class TwoRayGround(PropagationModel):
 
     The crossover distance is ``d_c = 4π·ht·hr / λ``; at ``d_c`` the two
     branches agree, so the gain is continuous.  ``d⁴`` is computed as
-    ``(d·d)·(d·d)`` in both the scalar and bulk paths — see the module
-    docstring (branch selection is an exact float comparison, identical
-    either way).
+    ``(d·d)·(d·d)``.
     """
 
     frequency_hz: float = 914e6
@@ -209,16 +170,6 @@ class TwoRayGround(PropagationModel):
             return self._friis.gain_at(d)
         d2 = d * d
         return self._numerator / (d2 * d2 * self.system_loss)
-
-    def gain_at_many(self, distances_m) -> np.ndarray:
-        """Vectorized two-ray gains (both branches mirror ``gain_at``)."""
-        d = np.maximum(np.asarray(distances_m, dtype=float), MIN_DISTANCE_M)
-        d2 = d * d
-        return np.where(
-            d < self._crossover_m,
-            self._friis.gain_at_many(d),
-            self._numerator / (d2 * d2 * self.system_loss),
-        )
 
     def gain(self, tx_pos: Position, rx_pos: Position) -> float:
         """Gain between two positions (Euclidean distance, then two-ray)."""
@@ -269,16 +220,6 @@ class LogDistanceShadowing(PropagationModel):
     def gain_at(self, dist_m: float) -> float:
         """Log-distance gain ``G0·(d0/d)^n·10^(X/10)`` at ``dist_m``."""
         d = dist_m if dist_m > MIN_DISTANCE_M else MIN_DISTANCE_M
-        return (
-            self._reference_gain_val
-            * (self.reference_m / d) ** self.exponent
-            * self._shadow_factor
-        )
-
-    def gain_at_many(self, distances_m) -> np.ndarray:
-        """Vectorized gains; numpy ``**`` may differ from libm ``pow`` in
-        the last ulp, well inside the channel's cull margin."""
-        d = np.maximum(np.asarray(distances_m, dtype=float), MIN_DISTANCE_M)
         return (
             self._reference_gain_val
             * (self.reference_m / d) ** self.exponent

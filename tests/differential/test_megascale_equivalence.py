@@ -1,7 +1,7 @@
 """Differential suite: the default fast stack vs the oracle build.
 
-The default build — spatial-index fan-out (static replay, epoch-cached
-gains, batch cull) and the fused kernel loop — must produce
+The default build — spatial-index fan-out (one survivor builder,
+epoch-cached gains, static replay) and the fused kernel loop — must produce
 **bit-identical** :class:`~repro.metrics.ExperimentResult`\\ s (including
 ``events_executed``) to the slowest, most literal execution path: the
 brute-force channel scan and the reference peek-then-pop kernel loop
@@ -103,9 +103,9 @@ class TestDenseBlockEquivalence:
         )
         assert result["sent"] > 0  # non-vacuous: traffic actually flowed
 
-    def test_mobile_world_uses_per_transmit_vector_pass(self):
-        """Mobile sources miss the gain cache, so their fan-outs go through
-        the batch cull's vectorised ``gain_at_many`` pass."""
+    def test_mobile_dense_world(self):
+        """Mobile sources miss the gain cache, so every fan-out resolves its
+        large candidate block through the one survivor builder afresh."""
         assert_matches_oracle("basic", mobile=True, n=70, duration_s=3.0, seed=9)
 
 

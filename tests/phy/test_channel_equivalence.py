@@ -11,6 +11,8 @@ with plain ``==``.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +21,12 @@ from hypothesis import strategies as st
 from repro.config import MobilityConfig, PhyConfig
 from repro.mobility.static import StaticMobility
 from repro.mobility.waypoint import RandomWaypoint
+from repro.phy import channel as channel_mod
 from repro.phy.channel import Channel
 from repro.phy.frame import PhyFrame
 from repro.phy.propagation import TwoRayGround
 from repro.sim.kernel import Simulator
+from tests.conftest import make_radio
 
 PHY = PhyConfig()
 MAX_POWER_W = PHY.max_power_w
@@ -167,6 +171,23 @@ class TestScheduleEquivalence:
             seed, n=150, side_m=1500.0, mobile=False, tx_count=60,
             require_events=True,
         )
+
+    def test_static_fanout_cap_overflow_matches_brute(self, monkeypatch):
+        """A tiny memo cap forces clear-and-rebuild of the static replay
+        cache on most transmits; every rebuilt list must still match."""
+        monkeypatch.setattr(channel_mod, "_STATIC_FANOUT_CAP", 2)
+        seed, n, side = 4, 30, 800.0
+        levels = PHY.power_levels_w
+        # Two rounds of 5 sources x 3 power levels: 15 keys cycle a cap of 2.
+        combos = itertools.product(range(2), range(5), (0, 4, len(levels) - 1))
+        script = [
+            (0.01 * (k + 1), src, float(levels[lvl]), 100, k + 1)
+            for k, (_, src, lvl) in enumerate(combos)
+        ]
+        _, brute = run_script(seed, n, side, False, False, script)
+        chan_i, indexed = run_script(seed, n, side, False, True, script)
+        assert brute == indexed and brute
+        assert len(chan_i._static_fanouts) <= 2
 
     def test_unattached_transmitter_matches_brute(self):
         seed, n, side = 9, 10, 800.0
@@ -339,15 +360,21 @@ class TestSpatialIndexGuards:
             chan.attach(BareRadio())
 
     def test_transmit_rejects_power_above_channel_bound(self):
+        """The bound is checked before the radio is keyed: the refusal
+        leaves no TX state, no stats, no pending TX-end event, no edges."""
         sim, chan = self._channel()
-        radio = RecordingRadio(sim, 0, StaticMobility((0.0, 0.0)), [])
+        radio = make_radio(sim, 0, (0.0, 0.0))
         chan.attach(radio)
+        chan.attach(make_radio(sim, 1, (10.0, 0.0)))
         frame = PhyFrame(
             payload=None, size_bytes=10, bitrate_bps=2e6, plcp_s=0.0,
             tx_power_w=MAX_POWER_W * 2.0, src=0, frame_id=1,
         )
         with pytest.raises(ValueError, match="max_tx_power_w"):
             chan.transmit(radio, frame)
+        assert not radio.transmitting
+        assert radio.stats["tx_frames"] == 0
+        assert sim.pending_events == 0
 
     def test_spatial_index_requires_max_tx_power(self):
         sim = Simulator()
