@@ -28,20 +28,65 @@ kernel.  Both dispatch the exact same event sequence (same ``(time,
 priority, seq)`` total order, same ``events_executed``); the equivalence
 suite in ``tests/sim/test_kernel_equivalence.py`` runs scripted workloads
 and whole paper scenarios through both and compares results field by field.
+
+Dispatch runs with Python's cyclic garbage collector paused
+(:func:`collector_paused`, also used by
+:meth:`~repro.builder.NetworkBuilder.build`).  A run allocates events,
+frames and tuples at a high rate, so the collector keeps firing; on a
+2000-node field its passes walk a few hundred thousand live objects and
+took about a fifth of a run's wall time, yet freed nothing: a run leaves
+no cyclic garbage (its reference cycles all stay reachable).
+``tests/integration/test_no_cyclic_garbage.py`` pins that invariant across
+the component slots.  Reference counting frees everything as before, and
+the pause changes no event order and no result.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from math import isnan
 from time import perf_counter
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.sim.event import EdgeBatch, Event, EventQueue
 
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling in the past, running twice...)."""
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the ``with`` block.
+
+    The collector is re-enabled on exit — also when the block raises — but
+    only if it was enabled on entry, so a caller that turned it off keeps
+    it off and a nested pause (a handler running a second simulator) does
+    not end the outer one early.
+
+    A block that grew the heap (counted in allocated blocks) by at least a
+    quarter then ends with one full collection.  CPython runs a full pass
+    whenever its heap has grown by a quarter, and those passes are what
+    free cyclic garbage made outside any pause, such as a network dropped
+    after its run; the pause would otherwise put them off for as long as
+    the process keeps pausing.  Short blocks (most slices of a sliced run,
+    a small build) add nothing.  Without that collection, twenty 300-node
+    cells run one after another peaked at 139 MB instead of 76 MB, holding
+    dead networks.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    blocks = sys.getallocatedblocks()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+            if 4 * (sys.getallocatedblocks() - blocks) >= blocks:
+                gc.collect()
 
 
 class Simulator:
@@ -239,6 +284,13 @@ class Simulator:
         queue drained earlier and that is later — it cannot be).  A NaN
         ``end_time`` raises :class:`SimulationError`: it would compare false
         against every event time and drain the whole queue.
+
+        Handlers run with the cyclic garbage collector paused
+        (:func:`collector_paused`); it is re-enabled when this returns or
+        raises, if it was enabled on entry.  Its passes free nothing during
+        a run (a run leaves no cyclic garbage; see the module docstring),
+        so pausing it only saves their time.  A call that grew the heap by
+        a quarter ends with one full collection.
         """
         if isnan(end_time):
             raise SimulationError("run_until horizon is NaN")
@@ -247,12 +299,13 @@ class Simulator:
         self._running = True
         self._stopped = False
         try:
-            if self._profile is not None:
-                self._run_profiled(end_time)
-            elif self._fused:
-                self._run_fused(end_time)
-            else:
-                self._run_reference(end_time)
+            with collector_paused():
+                if self._profile is not None:
+                    self._run_profiled(end_time)
+                elif self._fused:
+                    self._run_fused(end_time)
+                else:
+                    self._run_reference(end_time)
             if not self._stopped and self._now < end_time:
                 # A drained queue still advances the clock to the horizon; a
                 # stop() leaves it at the stopping event's time.
@@ -426,7 +479,14 @@ class Simulator:
                 fn(*args)
 
     def step(self) -> bool:
-        """Dispatch exactly one event.  Returns False if the queue is empty."""
+        """Dispatch exactly one event.  Returns False if the queue is empty.
+
+        Calling it from a handler while :meth:`run_until` dispatches raises
+        :class:`SimulationError`: the nested event would fire in the middle
+        of the current one and move the clock under it.
+        """
+        if self._running:
+            raise SimulationError("step() inside run_until — simulator is not reentrant")
         ev = self._queue.pop()
         if ev is None:
             return False

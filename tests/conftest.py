@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -31,6 +33,19 @@ from repro.sim.trace import Tracer
 def sim() -> Simulator:
     """A fresh simulator."""
     return Simulator()
+
+
+@pytest.fixture
+def collector_on():
+    """Run the test with the cyclic garbage collector enabled, then restore
+    whatever state the test found."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 @pytest.fixture

@@ -84,6 +84,17 @@ class TestTwoRayGround:
         above = m.gain_at(dc * 1.000001)
         assert below == pytest.approx(above, rel=1e-4)
 
+    def test_continuous_at_crossover_to_the_float_below(self):
+        """The Friis and ``(d·d)·(d·d)`` branches meet at ``crossover_m``.
+
+        The gain at the crossover and at the float just below it agree to
+        ``rel=1e-12``, so no scheduled power jumps across the branch switch.
+        """
+        m = TwoRayGround()
+        dc = m.crossover_m
+        below = m.gain_at(math.nextafter(dc, 0.0))
+        assert m.gain_at(dc) == pytest.approx(below, rel=1e-12)
+
     def test_fourth_power_law_beyond_crossover(self):
         m = TwoRayGround()
         assert m.gain_at(200.0) / m.gain_at(400.0) == pytest.approx(16.0)

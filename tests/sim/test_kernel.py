@@ -1,10 +1,14 @@
-"""Simulator kernel tests: clock discipline, scheduling rules, stop."""
+"""Simulator kernel tests: clock discipline, scheduling rules, stop, the
+collector pause."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator, collector_paused
+from tests.sim.collector import grow_heap_by_a_third, old_cyclic_garbage
 
 
 class TestClock:
@@ -102,6 +106,20 @@ class TestExecution:
         assert seen == [1, 2]
         assert not sim.step()
 
+    def test_step_inside_run_until_is_refused(self, sim):
+        seen = []
+
+        def handler():
+            with pytest.raises(SimulationError):
+                sim.step()
+            seen.append(sim.now)
+
+        sim.schedule(1.0, handler)
+        sim.schedule(2.0, lambda: seen.append(sim.now))
+        sim.run_until(10.0)
+        assert seen == [1.0, 2.0]
+        assert sim.events_executed == 2
+
     def test_handler_chain_ordering(self, sim):
         """Handlers scheduling at identical times preserve FIFO order."""
         order = []
@@ -181,3 +199,107 @@ class TestEdgeBatches:
         assert sim.pending_events == 1
         sim.run_until(5.0)
         assert fired == [0, 1] and sim.events_executed == 2
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestCollectorPause:
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
+    def test_handlers_run_with_the_collector_paused(self, fused):
+        sim = Simulator(fused=fused)
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.schedule_edges(_edges(sim, [(2.0, 0)], lambda k: seen.append(gc.isenabled())))
+        sim.run_until(5.0)
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_profiled_handlers_run_with_the_collector_paused(self, sim):
+        sim.enable_profiling()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run_until(5.0)
+        assert seen == [False] and gc.isenabled()
+
+    def test_restored_after_stop(self, sim):
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, lambda: None)
+        sim.run_until(5.0)
+        assert sim.now == 1.0 and gc.isenabled()
+
+    def test_restored_after_a_handler_raises(self, sim):
+        def boom():
+            raise RuntimeError("handler failed")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run_until(5.0)
+        assert gc.isenabled()
+
+    def test_left_off_if_the_caller_turned_it_off(self, sim):
+        sim.schedule(1.0, lambda: None)
+        gc.disable()
+        sim.run_until(5.0)
+        assert not gc.isenabled()
+
+    def test_a_nested_simulator_does_not_end_the_pause(self, sim):
+        seen = []
+
+        def run_inner():
+            inner = Simulator()
+            inner.schedule(1.0, lambda: seen.append(("inner", gc.isenabled())))
+            inner.run_until(2.0)
+            seen.append(("after inner", gc.isenabled()))
+
+        sim.schedule(1.0, run_inner)
+        sim.schedule(2.0, lambda: seen.append(("outer", gc.isenabled())))
+        sim.run_until(5.0)
+        assert seen == [("inner", False), ("after inner", False), ("outer", False)]
+        assert gc.isenabled()
+
+    def test_refused_run_until_leaves_it_alone(self, sim):
+        with pytest.raises(SimulationError):
+            sim.run_until(float("nan"))
+        assert gc.isenabled()
+
+
+@pytest.fixture
+def full_collections():
+    """Records every full (generation 2) collection while the test runs."""
+    seen = []
+
+    def on_gc(phase, info):
+        if phase == "stop" and info["generation"] == 2:
+            seen.append(info)
+
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    yield seen
+    gc.callbacks.remove(on_gc)
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestCollectorCatchUp:
+    def test_a_block_that_grew_the_heap_by_a_quarter_collects_old_garbage(self):
+        ref = old_cyclic_garbage()
+        with collector_paused():
+            kept = grow_heap_by_a_third()
+        assert ref() is None
+        assert kept
+
+    def test_a_run_that_grew_the_heap_by_a_quarter_collects_old_garbage(self, sim):
+        ref = old_cyclic_garbage()
+        kept = []
+        sim.schedule(1.0, lambda: kept.extend(grow_heap_by_a_third()))
+        sim.run_until(2.0)
+        assert ref() is None
+
+    def test_a_small_block_runs_no_full_collection(self, full_collections):
+        with collector_paused():
+            kept = [object() for _ in range(10_000)]
+        assert full_collections == [] and kept
+
+    def test_no_catch_up_when_the_caller_turned_it_off(self, full_collections):
+        gc.disable()
+        with collector_paused():
+            kept = grow_heap_by_a_third()
+        assert full_collections == [] and kept

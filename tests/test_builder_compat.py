@@ -9,16 +9,19 @@ combination.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import replace
 
 import pytest
 
+import repro.builder
 from repro.builder import NetworkBuilder
 from repro.config import MobilityConfig, ScenarioConfig, TrafficConfig
 from repro.experiments.scenario import build_network
 from repro.phy.propagation import LogDistanceShadowing
 from repro.registry import ParamError, UnknownComponentError
 from repro.scenariospec import ComponentSpec, ScenarioSpec
+from tests.sim.collector import grow_heap_by_a_third, old_cyclic_garbage
 
 
 def small_cfg(**overrides) -> ScenarioConfig:
@@ -190,3 +193,50 @@ class TestBuilderValidation:
         )
         with pytest.raises(ParamError, match="burst"):
             NetworkBuilder(spec).build()
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestCollectorPause:
+    """``build`` pauses the cyclic collector and restores the caller's state."""
+
+    def test_paused_during_build_and_restored_after(self, monkeypatch):
+        seen = []
+        real = repro.builder.MetricsCollector
+
+        def probe():
+            seen.append(gc.isenabled())
+            return real()
+
+        monkeypatch.setattr(repro.builder, "MetricsCollector", probe)
+        NetworkBuilder(ScenarioSpec(cfg=small_cfg())).build()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_restored_after_a_build_raises(self):
+        with pytest.raises(UnknownComponentError):
+            ScenarioSpec(cfg=small_cfg(), mac="csma-cd").build()
+        assert gc.isenabled()
+        spec = ScenarioSpec(cfg=small_cfg(), flow_pairs=((0, 8),))
+        with pytest.raises(ValueError, match="out of range"):
+            spec.build()
+        assert gc.isenabled()
+
+    def test_left_off_if_the_caller_turned_it_off(self):
+        gc.disable()
+        NetworkBuilder(ScenarioSpec(cfg=small_cfg())).build()
+        assert not gc.isenabled()
+
+    def test_a_build_that_grew_the_heap_by_a_quarter_frees_old_garbage(
+        self, monkeypatch
+    ):
+        ref = old_cyclic_garbage()
+        kept = []
+        real = repro.builder.MetricsCollector
+
+        def growing():
+            kept.extend(grow_heap_by_a_third())
+            return real()
+
+        monkeypatch.setattr(repro.builder, "MetricsCollector", growing)
+        NetworkBuilder(ScenarioSpec(cfg=small_cfg())).build()
+        assert ref() is None
