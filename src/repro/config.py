@@ -12,6 +12,7 @@ nodes and hashed into experiment records without defensive copying.  Use
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.units import MBPS, USEC
@@ -295,9 +296,14 @@ class MobilityConfig:
     field_height_m: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.speed_mps < 0:
-            raise ValueError("speed_mps must be non-negative")
-        if self.field_width_m <= 0 or self.field_height_m <= 0:
+        # Written as ``not (... >= 0)`` so that NaN, which fails every
+        # comparison, is rejected too: the channel's spatial index and its
+        # motion bound both trust this speed as an upper bound.
+        if not (0.0 <= self.speed_mps < math.inf):
+            raise ValueError("speed_mps must be finite and non-negative")
+        if not (self.pause_s >= 0.0):
+            raise ValueError("pause_s must be non-negative")
+        if not (self.field_width_m > 0 and self.field_height_m > 0):
             raise ValueError("field dimensions must be positive")
 
 

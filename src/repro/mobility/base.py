@@ -43,6 +43,18 @@ class MobilityModel:
 
         Equal epochs across two polls guarantee the returned positions were
         equal, so any pure function of the position may be reused.
+
+        Sampling must not steer the trajectory: the position at ``t`` is
+        the same whichever earlier times were (or were not) polled, so a
+        consumer may skip polls freely — the channel's motion bound skips
+        every receiver it can prove out of reach.  Only the epoch *numbers*
+        depend on which samples were taken; they are compared for equality
+        against the same model's earlier values and nothing else.  Between
+        any two times the position moves at most :meth:`max_speed_mps`
+        times the elapsed time (up to float rounding of the sample).
+
+        Models on the fan-out hot path override this to sample in one call
+        (as :class:`~repro.mobility.waypoint.RandomWaypoint` does).
         """
         pos = self.position_at(t)
         return pos, self.epoch

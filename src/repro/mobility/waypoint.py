@@ -29,6 +29,10 @@ class RandomWaypoint(MobilityModel):
         "_p0",
         "_p1",
         "_paused",
+        "_moving",
+        "_span",
+        "_dx",
+        "_dy",
         "_epoch",
         "_last_pos",
     )
@@ -41,6 +45,14 @@ class RandomWaypoint(MobilityModel):
         *,
         speed_range: tuple[float, float] | None = None,
     ) -> None:
+        if speed_range is not None:
+            lo, hi = speed_range
+            # NaN fails every comparison, so it is refused here too.
+            if not (0.0 <= lo <= hi < math.inf):
+                raise ValueError(
+                    f"speed_range must be finite with 0 <= low <= high, got "
+                    f"{speed_range!r}"
+                )
         self._cfg = cfg
         self._rng = rng
         self._speed_range = speed_range
@@ -50,6 +62,7 @@ class RandomWaypoint(MobilityModel):
         # Begin with a pause leg, like the CMU generator.
         self._t1 = cfg.pause_s
         self._paused = True
+        self._moving = False
         self._epoch = 0
         self._last_pos = self._p0
 
@@ -84,6 +97,13 @@ class RandomWaypoint(MobilityModel):
             self._t0 = self._t1
             self._t1 = self._t0 + self._cfg.pause_s
             self._paused = True
+        # Interpolation terms of the new leg, precomputed with the very
+        # roundings ``p0 + (p1 - p0) * ((t - t0) / (t1 - t0))`` takes.
+        self._moving = not self._paused and self._t1 != self._t0
+        if self._moving:
+            self._span = self._t1 - self._t0
+            self._dx = self._p1[0] - self._p0[0]
+            self._dy = self._p1[1] - self._p0[1]
 
     @property
     def epoch(self) -> int:
@@ -100,21 +120,19 @@ class RandomWaypoint(MobilityModel):
             return float(self._speed_range[1])
         return self._cfg.speed_mps
 
-    def position_at(self, t: float) -> Position:
+    def poll(self, t: float) -> tuple[Position, int]:
+        """``(position, epoch)`` at ``t`` in one frame (the fan-out's call)."""
         while t >= self._t1:
             self._next_leg()
-        if self._paused or self._t1 == self._t0:
-            pos = self._p0
-        else:
-            frac = (t - self._t0) / (self._t1 - self._t0)
-            if frac <= 0.0:
-                pos = self._p0
-            else:
-                pos = (
-                    self._p0[0] + (self._p1[0] - self._p0[0]) * frac,
-                    self._p0[1] + (self._p1[1] - self._p0[1]) * frac,
-                )
+        pos = self._p0
+        if self._moving:
+            frac = (t - self._t0) / self._span
+            if frac > 0.0:
+                pos = (pos[0] + self._dx * frac, pos[1] + self._dy * frac)
         if pos != self._last_pos:
             self._epoch += 1
             self._last_pos = pos
-        return pos
+        return pos, self._epoch
+
+    def position_at(self, t: float) -> Position:
+        return self.poll(t)[0]

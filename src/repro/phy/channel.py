@@ -45,12 +45,32 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   cached keyed on both endpoints' epochs: static scenarios compute each link
   gain exactly once, and mobile scenarios get hits during pause legs and
   repeated same-instant samples.  Radios whose mobility bound is 0 m/s are
-  flagged static at attach and skip position polling entirely.
+  flagged static at attach and skip position polling entirely.  The cache
+  still pays in mobile worlds: short cells that sit inside every node's
+  initial pause resolve nearly every pair from it.
+* **Motion-bounded culling.**  Each source keeps, per receiver it has
+  resolved, the exact distance ``d`` at the time ``t`` it was computed.
+  Two radios close at most ``2 · max_speed_mps`` (``drift``), so while
+  ``d - drift · (now - t)`` still exceeds ``range_for(tx_power, floor)``
+  plus a float slack, the receiver is skipped without polling its mobility
+  or computing a gain.  This is exact: every propagation model is a
+  deterministic function of distance that never increases with it, so
+  beyond the reach the brute scan culls the pair too; and waypoint legs
+  come lazily from each node's own RNG stream, so a skipped poll changes
+  no trajectory (epochs only validate caches).  The slack
+  (``_BOUND_SLACK_M`` plus ``_BOUND_SLACK_REL`` of the reach) absorbs the
+  rounding of ``range_for``, of the distance and of the bound's sums, and
+  interpolated waypoint samples outrunning their speed bound by ~1e-13 m.
+  The record is ``(d + drift · t, src epoch, rx epoch, gain, d)``, so the
+  skip is one dict lookup and one compare against a limit hoisted out of
+  the loop; it survives the source moving.  In an all-static world
+  ``drift`` is 0 and the bound only skips pairs beyond the reach of the
+  power at hand.
 * **One survivor builder.**  A single scalar loop visits the candidate
-  block in attach order and resolves each radio to a received power and a
-  delay, or culls it below the floor.  Its ``[(rx, rx_power, delay)]``
-  list is the whole per-transmit answer; one shared tail numbers it into
-  edges.
+  block in attach order, skips the pairs the motion bound rules out, and
+  resolves each other radio to a received power and a delay, or culls it
+  below the floor.  Its ``[(rx, rx_power, delay)]`` list is the whole
+  per-transmit answer; one shared tail numbers it into edges.
 * **Static replay.**  In an all-static world (``max_speed_mps == 0``) the
   survivor list of each ``(source, tx power)`` is built once and replayed
   on every later transmit.
@@ -95,6 +115,23 @@ from repro.units import SPEED_OF_LIGHT
 #: rebuilt on demand — correctness never depends on a hit.
 _STATIC_FANOUT_CAP = 131072
 
+#: Float slack added to the motion bound's reach [m]: an absolute term and
+#: a term relative to the reach.  It absorbs the rounding of ``range_for``,
+#: of ``distance`` and of the bound's own sums, and waypoint interpolation
+#: outrunning its speed bound by float rounding (about 1e-13 m per step).
+#: Sums of ``distance + drift * now`` lose a few ulp of their magnitude,
+#: so the absolute term covers ``drift * now`` up to ~1e9 m.
+_BOUND_SLACK_M = 1e-6
+_BOUND_SLACK_REL = 1e-9
+
+#: The source's own record in its link table: a key no limit reaches, so
+#: the survivor loop skips the transmitter without an identity test.
+_SELF_RECORD = (math.inf,)
+
+#: Stand-in for a pair never resolved: no limit is below its key, and no
+#: epoch equals its ``None``s, so it is resolved afresh.
+_NO_RECORD = (-math.inf, None, None)
+
 #: Event labels of a signal's leading and trailing edge (profiler buckets).
 _START = "phy.sig_start"
 _END = "phy.sig_end"
@@ -111,7 +148,8 @@ class _RadioEntry:
 
     ``static`` is set when the mobility model's speed bound is 0 m/s — the
     position (and hence the movement epoch) can never change, so the hot
-    fan-out loop reads the attach-time sample instead of polling.
+    fan-out loop reads the attach-time sample ``pos`` / ``epoch`` instead
+    of polling (for a mobile radio they are only the attach-time sample).
     ``poll_mob`` is the mobility model's bound ``poll`` — the fan-out calls
     it directly, skipping one Python frame per candidate per transmit.
     """
@@ -130,13 +168,6 @@ class _RadioEntry:
             self.pos, self.epoch = self.poll_mob(now)
             self.static = self.mobility.max_speed_mps() == 0.0
         self.cell: tuple[int, int] | None = None
-
-    def poll(self, now: float) -> tuple[tuple[float, float], int]:
-        """Fresh ``(position, epoch)``; the epoch bumps only on movement."""
-        pos, ep = self.mobility.poll(now)
-        self.pos = pos
-        self.epoch = ep
-        return pos, ep
 
 
 def _entry_seq(entry: _RadioEntry) -> int:
@@ -160,7 +191,8 @@ class Channel:
             the maximum reach and hence the grid cell size).  Transmitting
             above it raises, as that would break the culling guarantee.
         max_speed_mps: upper bound on any attached radio's speed; pads the
-            cell size so grid staleness can never miss a reachable radio.
+            cell size so grid staleness can never miss a reachable radio,
+            and bounds how fast a pair can close for the motion bound.
         reindex_interval_s: maximum grid staleness for mobile radios.
     """
 
@@ -194,13 +226,19 @@ class Channel:
         #: (attach, detach, a radio changing cell) clears it.  Static
         #: scenarios therefore sort each 3×3 block exactly once.
         self._blocks: dict[tuple[int, int], list[_RadioEntry]] = {}
-        #: Per-link gain cache: src_seq → (src_epoch, {rx_seq: (rx_epoch,
-        #: gain, dist)}).  A source's inner dict is dropped wholesale when
-        #: its epoch advances (none of its entries can hit again), and a
-        #: receiver's slot is overwritten on epoch mismatch, so memory is
-        #: O(pairs currently in range), not O(pairs ever in range) —
-        #: static scenarios still keep every link gain forever.
-        self._gains: dict[int, tuple[int, dict[int, tuple[int, float, float]]]] = {}
+        #: Per-pair link records: src_seq → {rx_seq: (key, src_epoch,
+        #: rx_epoch, gain, dist)}.  ``gain`` and ``dist`` are reused while
+        #: both epochs match (the epoch gain cache); ``key`` is ``dist +
+        #: drift * t`` for the time ``t`` they were computed, which the
+        #: motion bound compares against one hoisted limit.  A record is
+        #: overwritten whenever its pair is resolved afresh, and a table
+        #: holding more than twice its source's candidate block is cleared,
+        #: so memory stays O(pairs within a block) — static scenarios keep
+        #: every link gain forever.
+        self._links: dict[int, dict[int, tuple]] = {}
+        #: Motion bound: how fast any pair can close [m/s] (both ends at
+        #: ``max_speed_mps``).
+        self._drift_mps = 2.0 * max_speed_mps
         self._next_seq = 0
         #: All-static fast path: with ``max_speed_mps == 0`` every attached
         #: radio is pinned (attach enforces the bound), so the fan-out of a
@@ -278,7 +316,8 @@ class Channel:
         """Remove a radio from the medium.
 
         Semantics: detaching only stops *future* transmissions from reaching
-        the radio (and removes it from the spatial index / gain cache).
+        the radio (and removes it from the spatial index, and its link
+        records as source and as receiver).
         Signal edges already scheduled — the ``signal_start`` / ``signal_end``
         events of frames in flight at detach time — still fire at the
         detached radio, mirroring physics: energy already en route arrives
@@ -296,8 +335,8 @@ class Channel:
             self._blocks.clear()
             self._static_fanouts.clear()
             seq = entry.seq
-            self._gains.pop(seq, None)
-            for _, links in self._gains.values():
+            self._links.pop(seq, None)
+            for links in self._links.values():
                 links.pop(seq, None)
 
     # --------------------------------------------------------------- indexing
@@ -328,7 +367,7 @@ class Channel:
         for entry in self._entries.values():
             if entry.static:
                 continue
-            pos, _ = entry.poll(now)
+            pos, _ = entry.poll_mob(now)
             self._move_to_cell(entry, pos)
         self._reindex_due_at = now + self._reindex_interval_s
 
@@ -348,6 +387,16 @@ class Channel:
             self._blocks[block_key] = candidates
         return candidates
 
+    def _reach(self, tx_power: float) -> float:
+        """Culling reach of ``tx_power`` plus the motion bound's float slack.
+
+        Beyond it ``tx_power * gain_at(d)`` is below the interference floor
+        for every propagation model (each is non-increasing in distance).
+        Computed per transmit: a memo keyed by power would need a cap.
+        """
+        reach = self.propagation.range_for(tx_power, self.interference_floor_w)
+        return reach + reach * _BOUND_SLACK_REL + _BOUND_SLACK_M
+
     def _survivors(
         self, src: Radio, entry: _RadioEntry | None, tx_power: float, now: float
     ) -> list[tuple[Radio, float, float]]:
@@ -355,62 +404,73 @@ class Channel:
 
         The one resolve loop of the indexed fan-out, shared by static replay
         and the mobile path.  The candidate block is a superset of every
-        radio above the interference floor, and a cached gain and distance
+        radio above the interference floor.  A candidate whose last exact
+        distance, shrunk by the most both ends can have closed since
+        (``drift * Δt``), still lies beyond the culling reach is skipped
+        unpolled: the brute scan culls it too.  A cached gain and distance
         are reused only while both endpoints' movement epochs match (so they
         were computed from identical positions): every power and delay is
         the float :meth:`_fanout_brute` computes.
         """
         if entry is None:
             # Unattached transmitter: legal (the brute path allows it), but
-            # there is no entry to key the cache on — use a throwaway one.
+            # there is no entry to key the records on — use a throwaway table.
             src_pos = src.position
-            links: dict[int, tuple[int, float, float]] = {}
+            src_epoch = 0
+            links: dict[int, tuple] = {}
         else:
             if entry.static:
                 src_pos = entry.pos
                 src_epoch = entry.epoch
             else:
-                src_pos, src_epoch = entry.poll(now)
+                src_pos, src_epoch = entry.poll_mob(now)
                 self._move_to_cell(entry, src_pos)
-            cached = self._gains.get(entry.seq)
-            if cached is None or cached[0] != src_epoch:
-                # The source moved: none of its cached links can hit again,
-                # so drop them wholesale (bounds the cache for mobile runs).
-                links = {}
-                self._gains[entry.seq] = (src_epoch, links)
-            else:
-                links = cached[1]
+            links = self._links.get(entry.seq)
+            if links is None:
+                links = self._links[entry.seq] = {entry.seq: _SELF_RECORD}
         size = self._cell_size
         candidates = self._block_candidates(
             (int(src_pos[0] // size), int(src_pos[1] // size))
         )
+        if len(links) > 2 * len(candidates):
+            # Records of radios that left the block only cost memory.
+            links.clear()
+            links[entry.seq] = _SELF_RECORD
 
+        # Skip a pair while key - drift * now > reach, i.e. key > limit.
+        drift_now = self._drift_mps * now
+        limit = self._reach(tx_power) + drift_now
         floor = self.interference_floor_w
         gain_at = self.propagation.gain_at
         model_delay = self.model_propagation_delay
+        get = links.get
         out: list[tuple[Radio, float, float]] = []
         append = out.append
         for cand in candidates:
-            rx = cand.radio
-            if rx is src:
+            seq = cand.seq
+            rec = get(seq, _NO_RECORD)
+            if rec[0] > limit:
                 continue
             if cand.static:
                 rx_pos = cand.pos
                 rx_epoch = cand.epoch
             else:
                 rx_pos, rx_epoch = cand.poll_mob(now)
-            hit = links.get(cand.seq)
-            if hit is not None and hit[0] == rx_epoch:
-                gain = hit[1]
-                dist = hit[2]
+            if rec[1] == src_epoch and rec[2] == rx_epoch:
+                gain = rec[3]
+                dist = rec[4]
             else:
                 dist = distance(src_pos, rx_pos)
                 gain = gain_at(dist)
-                links[cand.seq] = (rx_epoch, gain, dist)
+                # A static world's key is ``dist`` itself: no float per pair.
+                key = dist + drift_now if drift_now else dist
+                links[seq] = (key, src_epoch, rx_epoch, gain, dist)
             rx_power = tx_power * gain
             if rx_power < floor:
                 continue
-            append((rx, rx_power, dist / SPEED_OF_LIGHT if model_delay else 0.0))
+            append(
+                (cand.radio, rx_power, dist / SPEED_OF_LIGHT if model_delay else 0.0)
+            )
         return out
 
     # ------------------------------------------------------------------ TX

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import MobilityConfig, PhyConfig
+from repro.mobility.base import MobilityModel
 from repro.mobility.static import StaticMobility
 from repro.mobility.waypoint import RandomWaypoint
 from repro.phy import channel as channel_mod
@@ -57,28 +58,38 @@ class RecordingRadio:
         self.log.append(("end", self.sim.now, self.node_id, frame_id))
 
 
-def build_world(seed, n, side_m, mobile, spatial_index):
-    """One (sim, channel, radios, log) world; same seed ⇒ same world."""
+def build_world(seed, n, side_m, mobile, spatial_index, *, speed_range=None,
+                pause_s=0.2):
+    """One (sim, channel, radios, log) world; same seed ⇒ same world.
+
+    ``speed_range`` gives every waypoint leg its own uniform speed (the
+    channel's bound is then its upper end).
+    """
     sim = Simulator()
+    top_speed = SPEED_MPS if speed_range is None else speed_range[1]
     chan = Channel(
         sim,
         TwoRayGround(),
         interference_floor_w=PHY.interference_floor_w,
         spatial_index=spatial_index,
         max_tx_power_w=MAX_POWER_W,
-        max_speed_mps=SPEED_MPS if mobile else 0.0,
+        max_speed_mps=top_speed if mobile else 0.0,
         reindex_interval_s=0.5,
     )
     rng = np.random.default_rng(seed)
     mob_cfg = MobilityConfig(
-        speed_mps=SPEED_MPS, pause_s=0.2, field_width_m=side_m, field_height_m=side_m
+        speed_mps=SPEED_MPS, pause_s=pause_s, field_width_m=side_m,
+        field_height_m=side_m,
     )
     log: list = []
     radios = []
     for i in range(n):
         pos = (float(rng.uniform(0.0, side_m)), float(rng.uniform(0.0, side_m)))
         if mobile:
-            mob = RandomWaypoint(np.random.default_rng(seed * 1009 + i), mob_cfg, pos)
+            mob = RandomWaypoint(
+                np.random.default_rng(seed * 1009 + i), mob_cfg, pos,
+                speed_range=speed_range,
+            )
         else:
             mob = StaticMobility(pos)
         radio = RecordingRadio(sim, i, mob, log)
@@ -104,8 +115,10 @@ def make_script(seed, n, tx_count):
     ]
 
 
-def run_script(seed, n, side_m, mobile, spatial_index, script):
-    sim, chan, radios, log = build_world(seed, n, side_m, mobile, spatial_index)
+def run_script(seed, n, side_m, mobile, spatial_index, script, **world):
+    sim, chan, radios, log = build_world(
+        seed, n, side_m, mobile, spatial_index, **world
+    )
     for t, src, power, size, fid in script:
         frame = PhyFrame(
             payload=None,
@@ -121,10 +134,11 @@ def run_script(seed, n, side_m, mobile, spatial_index, script):
     return chan, log
 
 
-def assert_equivalent(seed, n, side_m, mobile, tx_count=40, require_events=False):
+def assert_equivalent(seed, n, side_m, mobile, tx_count=40, require_events=False,
+                      **world):
     script = make_script(seed, n, tx_count)
-    _, brute = run_script(seed, n, side_m, mobile, False, script)
-    _, indexed = run_script(seed, n, side_m, mobile, True, script)
+    _, brute = run_script(seed, n, side_m, mobile, False, script, **world)
+    _, indexed = run_script(seed, n, side_m, mobile, True, script, **world)
     assert brute == indexed
     if require_events:
         # These geometries are dense enough that an all-empty log would mean
@@ -155,6 +169,24 @@ class TestScheduleEquivalence:
     def test_dense_static_seeds(self, seed):
         assert_equivalent(
             seed, n=50, side_m=1000.0, mobile=False, tx_count=80, require_events=True
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        n=st.integers(2, 30),
+        side_m=st.sampled_from([500.0, 2000.0]),
+        low=st.sampled_from([0.0, 1.0, 5.0]),
+        spread=st.sampled_from([0.0, 2.0, 15.0]),
+        pause_s=st.sampled_from([0.0, 0.2, 1.0]),
+    )
+    def test_speed_range_random_worlds(self, seed, n, side_m, low, spread,
+                                       pause_s):
+        """Per-leg speeds drawn from ``speed_range``: most pairs close
+        slower than the channel's bound, some at it."""
+        assert_equivalent(
+            seed, n, side_m, mobile=True, speed_range=(low, low + spread),
+            pause_s=pause_s,
         )
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -227,6 +259,175 @@ class TestScheduleEquivalence:
         assert logs[0] == logs[1] and logs[0]
 
 
+class Glide(MobilityModel):
+    """Constant velocity along the x axis; counts its samples."""
+
+    def __init__(self, x0, vx):
+        self.x0 = x0
+        self.vx = vx
+        self.polls = 0
+        self._epoch = 0
+        self._last = None
+
+    def poll(self, t):
+        self.polls += 1
+        pos = (self.x0 + self.vx * t, 0.0)
+        if pos != self._last:
+            self._epoch += 1
+            self._last = pos
+        return pos, self._epoch
+
+    def position_at(self, t):
+        return self.poll(t)[0]
+
+    @property
+    def epoch(self):
+        return self._epoch
+
+    def max_speed_mps(self):
+        return abs(self.vx)
+
+
+class TestMotionBound:
+    """The fan-out skips a pair only while it provably stays out of reach."""
+
+    SPEED = 30.0
+    LOW_POWER_W = PHY.power_levels_w[0]
+
+    def _pair_world(self, spatial_index, gap_m, reindex_s=0.5):
+        """Two radios on the x axis ``gap_m`` apart beyond the low-power
+        reach, closing head-on at twice the channel's speed bound."""
+        sim = Simulator()
+        chan = Channel(
+            sim, TwoRayGround(),
+            interference_floor_w=PHY.interference_floor_w,
+            spatial_index=spatial_index, max_tx_power_w=MAX_POWER_W,
+            max_speed_mps=self.SPEED, reindex_interval_s=reindex_s,
+        )
+        reach = TwoRayGround().range_for(
+            self.LOW_POWER_W, PHY.interference_floor_w
+        )
+        log: list = []
+        a = RecordingRadio(sim, 0, Glide(0.0, self.SPEED), log)
+        b = RecordingRadio(sim, 1, Glide(reach + gap_m, -self.SPEED), log)
+        chan.attach(a)
+        chan.attach(b)
+        return sim, chan, (a, b), log
+
+    def _beacon(self, sim, chan, src, times, power):
+        for fid, t in enumerate(times, start=1):
+            frame = PhyFrame(
+                payload=None, size_bytes=100, bitrate_bps=2e6, plcp_s=0.0,
+                tx_power_w=power, src=src.node_id, frame_id=fid,
+            )
+            sim.schedule(t, lambda f=frame: chan.transmit(src, f))
+
+    def test_head_on_approach_matches_brute(self):
+        """The pair closes at exactly 2·v: a bound that charges the drift
+        of one endpoint only keeps skipping after the receiver is reached."""
+        times = [0.25 * k for k in range(60)]
+        logs = []
+        for flag in (False, True):
+            sim, chan, (a, _), log = self._pair_world(flag, gap_m=300.0)
+            self._beacon(sim, chan, a, times, self.LOW_POWER_W)
+            sim.run_until(30.0)
+            logs.append(log)
+        assert logs[0] == logs[1]
+        heard = [e[1] for e in logs[0] if e[0] == "start"]
+        # In reach from t = 5 s (300 m closed at 60 m/s) until they part.
+        assert heard and 5.0 <= min(heard) < 5.5
+
+    def test_far_receiver_is_not_polled(self):
+        """Once measured, a receiver that cannot close the gap in time is
+        skipped without sampling its mobility."""
+        sim, chan, (a, b), log = self._pair_world(
+            True, gap_m=600.0, reindex_s=1e9
+        )
+        self._beacon(sim, chan, a, [0.01 * k for k in range(1, 51)],
+                     self.LOW_POWER_W)
+        before = b.mobility.polls
+        sim.run_until(1.0)
+        # The grid's first refresh and the first visit sample it; 50
+        # transmits later it still cannot have closed 600 m at 60 m/s.
+        assert b.mobility.polls - before == 2
+        assert not log
+
+    def test_detach_drops_records_both_ways(self):
+        """Churn of moving radios: every detach removes the seq's records
+        as a source and as a receiver, and the schedule matches brute."""
+        seed, n, side = 8, 14, 900.0
+        logs = []
+        for flag in (False, True):
+            sim, chan, radios, log = build_world(seed, n, side, True, flag)
+            script = make_script(seed, n, 120)
+            for t, src, power, size, fid in script:
+                frame = PhyFrame(
+                    payload=None, size_bytes=size, bitrate_bps=2e6,
+                    plcp_s=0.0, tx_power_w=power, src=src, frame_id=fid,
+                )
+
+                def fire(r=radios[src], f=frame, c=chan):
+                    if r in c.radios:  # a detached radio stays silent
+                        c.transmit(r, f)
+
+                sim.schedule(t, fire)
+            for k, victim in enumerate((2, 5, 2, 9, 5)):
+                down = 1.0 + 3.0 * k
+                sim.schedule(down, lambda r=radios[victim]: chan.detach(r))
+                sim.schedule(down + 1.5,
+                             lambda r=radios[victim]: chan.attach(r))
+            sim.schedule(HORIZON_S - 1.0, lambda: chan.detach(radios[7]))
+            sim.run_until(HORIZON_S + 10.0)
+            logs.append(log)
+            if flag:
+                live = {chan._entries[r].seq for r in chan.radios}
+                assert set(chan._links) <= live
+                for links in chan._links.values():
+                    assert set(links) <= live
+        assert logs[0] == logs[1] and logs[0]
+
+    def test_passing_source_keeps_its_table_bounded(self):
+        """A source gliding down a 12 km line of radios meets each one once:
+        its table is cleared when it outgrows twice the candidate block,
+        instead of keeping a record of every radio it ever met."""
+        logs, sizes, blocks = [], [], []
+        for flag in (False, True):
+            sim = Simulator()
+            chan = Channel(
+                sim, TwoRayGround(),
+                interference_floor_w=PHY.interference_floor_w,
+                spatial_index=flag, max_tx_power_w=MAX_POWER_W,
+                max_speed_mps=self.SPEED, reindex_interval_s=0.5,
+            )
+            log: list = []
+            src = RecordingRadio(sim, 0, Glide(0.0, self.SPEED), log)
+            chan.attach(src)
+            for i in range(1, 121):
+                chan.attach(RecordingRadio(
+                    sim, i, StaticMobility((100.0 * i, 50.0)), log
+                ))
+
+            def fire(fid, c=chan, indexed=flag):
+                frame = PhyFrame(
+                    payload=None, size_bytes=100, bitrate_bps=2e6,
+                    plcp_s=0.0, tx_power_w=MAX_POWER_W, src=0, frame_id=fid,
+                )
+                c.transmit(src, frame)
+                if indexed:
+                    size = c.cell_size_m
+                    x, y = src.position
+                    cell = (int(x // size), int(y // size))
+                    blocks.append(len(c._block_candidates(cell)))
+                    sizes.append(len(c._links[0]))
+
+            for k in range(1, 400):
+                sim.schedule(float(k), lambda k=k: fire(k))
+            sim.run_until(400.0)
+            logs.append(log)
+        assert logs[0] == logs[1] and logs[0]
+        assert max(sizes) <= 3 * max(blocks) < 120
+
+
 class TestGainCacheInvalidation:
     """The epoch cache must never serve a gain computed at a stale position."""
 
@@ -280,27 +481,33 @@ class TestGainCacheInvalidation:
         starts = [e for e in log if e[0] == "start"]
         assert len(starts) == 4
         assert len({e[4] for e in starts}) == 1  # same link, same gain
-        # One ordered-pair cache entry, computed once, valid forever:
-        # src_seq 0 at epoch 0 → {rx_seq 1: (epoch 0, gain, dist)}.
-        assert set(chan._gains) == {0}
-        src_epoch, links = chan._gains[0]
-        assert src_epoch == 0
-        assert set(links) == {1} and links[1][0] == 0
+        # One ordered-pair record, computed once, valid forever: src_seq 0
+        # → {rx_seq 1: (key, src epoch 0, rx epoch 0, gain, dist)} beside
+        # the source's own never-visited record.
+        assert set(chan._links) == {0}
+        links = chan._links[0]
+        assert set(links) == {0, 1}
+        key, src_epoch, rx_epoch, _, dist = links[1]
+        assert (src_epoch, rx_epoch) == (0, 0)
+        assert key == dist  # a static world has no drift
 
-    def test_source_movement_evicts_its_cached_links(self):
-        """A moving source's stale links are dropped, not accumulated."""
+    def test_source_movement_keeps_one_record_per_pair(self):
+        """A moving source's records are overwritten in place, not
+        accumulated, and survive the move (the motion bound needs them)."""
         sim, chan, radios, log = self._world(mobile=True)
         tx_times = (0.1, 5.0, 12.0)
         for fid, t in enumerate(tx_times, start=1):
             self._transmit_at(sim, chan, radios[0], t, fid)
         sim.run_until(HORIZON_S)
         assert len([e for e in log if e[0] == "start"]) == 3
-        # The source moved between every transmission, so the cache holds
-        # only the *latest* epoch's links — one per current candidate, with
-        # no stale-epoch residue.
-        src_epoch, links = chan._gains[0]
+        # The source moved between every transmission: its one receiver
+        # record holds the latest epochs and distance, with no residue.
+        links = chan._links[0]
+        assert set(links) == {0, 1}
+        key, src_epoch, rx_epoch, _, dist = links[1]
         assert src_epoch == radios[0].mobility.epoch
-        assert len(links) == 1  # the single co-located receiver, once
+        assert rx_epoch == radios[1].mobility.epoch
+        assert key == dist + 2.0 * SPEED_MPS * tx_times[-1]
 
     def test_pause_legs_keep_epoch_and_reuse_cache(self):
         mob = RandomWaypoint(

@@ -126,3 +126,24 @@ class TestMobilityAndScenario:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
             ScenarioConfig(duration_s=0.0)
+
+    @pytest.mark.parametrize("speed", [-1.0, float("nan"), float("inf")])
+    def test_rejects_dishonest_speed(self, speed):
+        """The channel trusts ``speed_mps`` as a hard bound on movement;
+        NaN passes a plain ``< 0`` check, so it is tested explicitly."""
+        with pytest.raises(ValueError, match="speed_mps"):
+            MobilityConfig(speed_mps=speed)
+
+    @pytest.mark.parametrize("pause", [-0.5, float("nan")])
+    def test_rejects_negative_or_nan_pause(self, pause):
+        with pytest.raises(ValueError, match="pause_s"):
+            MobilityConfig(pause_s=pause)
+
+    @pytest.mark.parametrize("side", [0.0, -10.0, float("nan")])
+    def test_rejects_bad_field(self, side):
+        with pytest.raises(ValueError, match="field"):
+            MobilityConfig(field_width_m=side)
+
+    def test_accepts_zero_pause_and_speed(self):
+        cfg = MobilityConfig(speed_mps=0.0, pause_s=0.0)
+        assert (cfg.speed_mps, cfg.pause_s) == (0.0, 0.0)

@@ -85,6 +85,41 @@ class TestRandomWaypoint:
             assert moved <= 5.0 * 0.5 + 1e-9
             prev = cur
 
+    @pytest.mark.parametrize(
+        "speed_range",
+        [(5.0, 1.0), (-1.0, 2.0), (-3.0, -1.0), (float("nan"), 2.0),
+         (1.0, float("nan")), (1.0, float("inf"))],
+    )
+    def test_rejects_bad_speed_range(self, speed_range):
+        """Refused at construction, not on the first move leg mid-run
+        (numpy's ``uniform`` would raise there for a reversed range)."""
+        with pytest.raises(ValueError, match="speed_range"):
+            RandomWaypoint(
+                np.random.default_rng(1), self.cfg(), (0.0, 0.0),
+                speed_range=speed_range,
+            )
+
+    def test_degenerate_speed_range_is_one_speed(self):
+        m = RandomWaypoint(
+            np.random.default_rng(5), self.cfg(), (0.0, 0.0),
+            speed_range=(4.0, 4.0),
+        )
+        assert m.max_speed_mps() == 4.0
+        m.position_at(100.0)  # draws move legs without raising
+
+    def test_position_at_matches_poll(self):
+        """``position_at`` is ``poll``'s position: one trajectory, either
+        entry point, whichever times were sampled before."""
+        a = RandomWaypoint(np.random.default_rng(6), self.cfg(pause_s=0.5),
+                           (300.0, 700.0))
+        b = RandomWaypoint(np.random.default_rng(6), self.cfg(pause_s=0.5),
+                           (300.0, 700.0))
+        for step in range(0, 4000, 7):
+            t = step * 0.1
+            if step % 3 == 0:
+                a.position_at(t - 0.05)  # an extra sample changes nothing
+            assert a.position_at(t) == b.poll(t)[0]
+
     # ------------------------------------------------- pause/boundary edges
 
     def test_initial_pause_boundary_is_exact(self):
