@@ -439,8 +439,11 @@ def _run_fleet(
     parent respawns missing processes (bounded) while claimable work
     remains.  A cooperative stop raises the queue's STOP flag: workers
     finish their current run and exit; unclaimed tasks stay queued for
-    the next invocation to resume.
+    the next invocation to resume.  With nothing pending (a fully cached
+    resubmission) it touches neither the queue nor any worker.
     """
+    if not pending:
+        return
     from repro.fleet.queue import DEFAULT_LEASE_TTL_S, WorkQueue
 
     work_queue = WorkQueue(store.root / "fleet")

@@ -15,6 +15,7 @@ import pytest
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import RunSpec
 from repro.config import ScenarioConfig, TrafficConfig
+from repro.fleet.queue import WorkQueue
 from repro.fleet.shards import ShardedResultStore
 from repro.scenariospec import ComponentSpec, ScenarioSpec
 
@@ -75,12 +76,27 @@ class TestFleetRunSpecs:
         assert len(lines) == 2
 
     def test_resume_is_all_cache_hits(self, tmp_path):
+        """The cache identity contract: a resubmitted grid executes no
+        cell, serves every key bit-identical to the cold pass, and starts
+        no worker (no new heartbeat appears)."""
         store = ShardedResultStore(tmp_path / "store", shards=4)
         specs = [cell(1), cell(2)]
-        run_specs(specs, jobs=2, store=store, fleet=True)
+        cold = run_specs(specs, jobs=2, store=store, fleet=True)
+        assert cold.executed == len(specs)
+        work_queue = WorkQueue(store.root / "fleet")
+        workers = set(work_queue.heartbeats())
+        assert workers  # the cold pass's workers left their heartbeats
+
         again = run_specs(specs, jobs=2, store=store, fleet=True)
-        assert again.cached == 2
+        assert again.cached == len(specs)
         assert again.executed == 0
+        assert not again.errors
+        assert set(again.results) == {spec.key() for spec in specs}
+        for key, result in cold.results.items():
+            assert deterministic_fields(again.results[key]) == (
+                deterministic_fields(result)
+            )
+        assert set(work_queue.heartbeats()) == workers
 
     def test_failures_carry_the_lease_audit(self, tmp_path):
         store = ShardedResultStore(tmp_path / "store", shards=4)

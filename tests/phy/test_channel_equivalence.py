@@ -12,6 +12,7 @@ with plain ``==``.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -169,6 +170,16 @@ class TestScheduleEquivalence:
     def test_dense_static_seeds(self, seed):
         assert_equivalent(
             seed, n=50, side_m=1000.0, mobile=False, tx_count=80, require_events=True
+        )
+
+    @pytest.mark.parametrize("density", [5e-6, 5e-5], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("n", [10, 200])
+    def test_static_worlds_at_fixed_density(self, n, density):
+        """Sparse (5·10⁻⁶ /m²) and the paper's dense (5·10⁻⁵ /m²) node
+        densities, up to 200 radios on a 6325 m side."""
+        assert_equivalent(
+            7, n=n, side_m=math.sqrt(n / density), mobile=False, tx_count=30,
+            require_events=True,
         )
 
     @settings(max_examples=15, deadline=None)

@@ -69,6 +69,7 @@ class TestLocking:
         assert radio.lock_power_w == RX * 10
         radio.signal_end(f.frame_id)
         assert radio.listener.of("rx_end") == [("rx_end", f.frame_id, True)]
+        assert radio.stats["rx_ok"] == 1
 
     def test_below_threshold_does_not_lock(self, sim, radio):
         f = frame()

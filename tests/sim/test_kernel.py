@@ -7,6 +7,7 @@ import gc
 
 import pytest
 
+from repro.sim.event import COMPACT_MIN_DEAD
 from repro.sim.kernel import SimulationError, Simulator, collector_paused
 from tests.sim.collector import grow_heap_by_a_third, old_cyclic_garbage
 
@@ -128,6 +129,27 @@ class TestExecution:
         sim.schedule(1.0, lambda: order.append("c"))
         sim.run_until(2.0)
         assert order == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
+    def test_cancel_storm_compacts_mid_run(self, fused):
+        """The MAC's timer pattern (arm a timeout, cancel it at once) far
+        past the compaction threshold: every tick fires and the dead
+        timeouts are purged while the loop dispatches."""
+        sim = Simulator(fused=fused)
+        fired = [0]
+        peak_heap = [0]
+
+        def tick():
+            fired[0] += 1
+            sim.cancel(sim.schedule_in(10.0, tick))
+            peak_heap[0] = max(peak_heap[0], len(sim._queue._heap))
+            if fired[0] < 4 * COMPACT_MIN_DEAD:
+                sim.schedule_in(0.001, tick)
+
+        sim.schedule(0.0, tick)
+        sim.run_until(1e9)
+        assert fired[0] == sim.events_executed == 4 * COMPACT_MIN_DEAD
+        assert peak_heap[0] <= COMPACT_MIN_DEAD
 
 
 def _edges(sim, items, fn):
