@@ -60,6 +60,8 @@ class ControlChannelAgent:
         self.stats = {"pcn_sent": 0, "pcn_heard": 0, "pcn_lost": 0, "pcn_skipped": 0}
         self._dead = False
         radio.listener = self
+        # PCNs are fire-and-forget: no carrier-sense callbacks wanted.
+        radio.carrier_watch = False
 
     def shutdown(self) -> None:
         """Node power-down: never broadcast again, ignore the radio."""
@@ -75,6 +77,7 @@ class ControlChannelAgent:
         """
         self._dead = False
         self.radio.listener = self
+        self.radio.carrier_watch = False
 
     # ------------------------------------------------------------- transmit
 
@@ -163,7 +166,8 @@ class ControlChannelAgent:
         )
 
     # Remaining RadioListener callbacks: the control channel needs none of
-    # the carrier-sense machinery (PCNs are fire-and-forget broadcasts).
+    # the carrier-sense machinery (PCNs are fire-and-forget broadcasts), and
+    # with ``carrier_watch`` off the radio never calls the first two.
 
     def on_carrier_busy(self) -> None:  # pragma: no cover - trivial
         pass

@@ -231,7 +231,6 @@ class DcfMac:
         self._state = MacState.IDLE
         self._current: _TxAttempt | None = None
         self._substitute_in_flight = False
-        self._use_eifs = False
         self._access_timer = _MacTimer(sim, self._access_fire, "mac.access")
         self._access_is_countdown = False
         self._countdown_defer_end = 0.0
@@ -264,7 +263,20 @@ class DcfMac:
     @property
     def state(self) -> MacState:
         """Current sender-side state."""
-        return self._state
+        return self._sender_state
+
+    @property
+    def _state(self) -> MacState:
+        return self._sender_state
+
+    @_state.setter
+    def _state(self, state: MacState) -> None:
+        # The access timer is armed only in CONTEND, so outside it a busy
+        # edge has no countdown to pause and an idle edge nothing to
+        # schedule: the radio may skip both callbacks (it books EIFS debt
+        # itself).
+        self._sender_state = state
+        self.radio.carrier_watch = state is MacState.CONTEND
 
     @property
     def queue_depth(self) -> int:
@@ -353,7 +365,7 @@ class DcfMac:
         """
         self._dead = False
         self._state = MacState.IDLE
-        self._use_eifs = False
+        self.radio.eifs_due = False
         self.nav.reset()
         # Cold-boot contention state: cw back to cw_min, nothing pending.
         self.backoff.on_success()
@@ -494,7 +506,7 @@ class DcfMac:
             self._access_is_countdown = False
             timer.arm_at(self.nav.until, label="mac.nav_wake")
             return
-        defer = self.timing.eifs if self._use_eifs else self.timing.difs
+        defer = self.timing.eifs if self.radio.eifs_due else self.timing.difs
         slots = self.backoff.draw()
         self._countdown_defer_end = now + defer
         self._access_is_countdown = True
@@ -523,7 +535,7 @@ class DcfMac:
 
     def _access_complete(self) -> None:
         self.backoff.finish()
-        self._use_eifs = False
+        self.radio.eifs_due = False
         self._transmit_current()
 
     # --------------------------------------------------------------- transmit
@@ -624,13 +636,14 @@ class DcfMac:
     # ------------------------------------------------------------- radio events
 
     def on_carrier_busy(self) -> None:
-        """Radio callback: medium became busy — freeze contention."""
+        """Radio callback (while contending): medium busy — freeze contention."""
         self._pause_access()
 
     def on_carrier_idle(self, failed: bool) -> None:
-        """Radio callback: medium went idle; ``failed`` requests EIFS."""
-        if failed:
-            self._use_eifs = True
+        """Radio callback (while contending): medium idle — resume contention.
+
+        ``failed`` (EIFS requested) is already booked on ``radio.eifs_due``.
+        """
         self._schedule_access()
 
     def on_rx_start(self, frame: PhyFrame) -> None:
@@ -739,11 +752,9 @@ class DcfMac:
     # =================================================================
 
     def on_rx_end(self, phy_frame: PhyFrame, ok: bool, rx_power_w: float) -> None:
-        """Radio callback: a locked frame finished."""
+        """Radio callback: a locked frame finished (EIFS debt already set)."""
         if not ok:
-            self._use_eifs = True
             return
-        self._use_eifs = False
         frame: MacFrame = phy_frame.payload
         if not isinstance(frame, MacFrame):
             return

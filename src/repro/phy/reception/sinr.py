@@ -4,9 +4,10 @@ A :class:`SinrReceiver` hangs off one :class:`~repro.phy.radio.Radio` (the
 ``radio.reception`` slot, ``None`` by default — the ``power_meter`` /
 ``faults`` opt-in precedent) and takes over the radio's *decode* decisions.
 The radio keeps what it already does well: the per-arrival interference
-ledger (``_arrivals`` / ``total_power_w``), carrier-sense edges, half-duplex
-TX bookkeeping and the listener plumbing.  The receiver decides who gets the
-lock and whether the locked frame survives.
+ledger (``_arrivals``, frame id -> power, and ``total_power_w``),
+carrier-sense edges, half-duplex TX bookkeeping and the listener plumbing.
+The receiver decides who gets the lock (building the radio's lock record
+only then) and whether the locked frame survives.
 
 States (derived, never stored redundantly):
 
@@ -52,8 +53,11 @@ from repro.phy.reception.plan import (
     ReceptionPlan,
 )
 
+from repro.phy.radio import _Arrival
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.phy.radio import Radio, _Arrival
+    from repro.phy.frame import PhyFrame
+    from repro.phy.radio import Radio
 
 
 class SinrReceiver:
@@ -107,32 +111,31 @@ class SinrReceiver:
 
     # ----------------------------------------------------------- radio hooks
 
-    def on_arrival(self, arrival: "_Arrival") -> None:
+    def on_arrival(self, frame: "PhyFrame", power_w: float) -> None:
         """A signal's leading edge reached the radio (power already booked)."""
         radio = self.radio
-        power_w = arrival.power_w
 
         if power_w < self.rx_sensitivity_w:
             # Undecodable at any SINR: interference only.  The power it
             # adds can still break the current lock, checked below.
-            self._drop(arrival, DROP_BELOW_SENSITIVITY)
+            self._drop(frame, power_w, DROP_BELOW_SENSITIVITY)
             self._recheck_lock()
             return
 
         if radio._tx_frame is not None:
             # Half-duplex: deaf to a decodable frame while transmitting.
-            self._drop(arrival, DROP_COLLISION)
+            self._drop(frame, power_w, DROP_COLLISION)
             return
 
         lock = radio._lock
         if lock is None:
             if radio.sinr_of(power_w) >= self.capture_threshold:
-                self._acquire(arrival)
+                self._acquire(frame, power_w)
             else:
                 # Decodable power, drowned at its leading edge.
                 radio.stats["rx_unlockable"] += 1
                 radio._busy_last_decode = False
-                self._drop(arrival, DROP_COLLISION)
+                self._drop(frame, power_w, DROP_COLLISION)
             return
 
         # Receiver occupied.  During preamble sync a new arrival that clears
@@ -143,27 +146,28 @@ class SinrReceiver:
             radio.sim.now < self._sync_until
             and radio.sinr_of(power_w) >= self.capture_threshold
         ):
-            self._drop(lock, DROP_CAPTURE_LOST)
+            self._drop(lock.frame, lock.power_w, DROP_CAPTURE_LOST)
             self._release_lock()
-            self._acquire(arrival)
+            self._acquire(frame, power_w)
             return
 
         radio.stats["rx_unlockable"] += 1
-        self._drop(arrival, DROP_COLLISION)
+        self._drop(frame, power_w, DROP_COLLISION)
         self._recheck_lock()
 
-    def on_departure(self, arrival: "_Arrival") -> None:
+    def on_departure(self, frame_id: int) -> None:
         """A signal's trailing edge passed (power already released)."""
         radio = self.radio
-        if radio._lock is not arrival:
+        lock = radio._lock
+        if lock is None or lock.frame.frame_id != frame_id:
             # Non-lock arrivals were classified at their leading edge, and
             # a falling interference sum can only improve the lock's SINR.
             return
         ok = not radio._lock_corrupted
         if not ok:
-            self._drop(arrival, DROP_COLLISION)
+            self._drop(lock.frame, lock.power_w, DROP_COLLISION)
         self._sync_until = 0.0
-        radio._complete_lock(arrival, ok)
+        radio._complete_lock(lock, ok)
 
     def on_tx_abort(self) -> None:
         """The radio's own TX stomped the current lock (now deaf)."""
@@ -171,7 +175,7 @@ class SinrReceiver:
         lock = radio._lock
         assert lock is not None
         radio.stats["rx_aborted_by_tx"] += 1
-        self._drop(lock, DROP_CAPTURE_LOST)
+        self._drop(lock.frame, lock.power_w, DROP_CAPTURE_LOST)
         radio._lock = None
         radio._lock_corrupted = False
         self._sync_until = 0.0
@@ -182,15 +186,16 @@ class SinrReceiver:
 
     # ------------------------------------------------------------- internals
 
-    def _acquire(self, arrival: "_Arrival") -> None:
+    def _acquire(self, frame: "PhyFrame", power_w: float) -> None:
         radio = self.radio
-        radio._lock = arrival
+        now = radio.sim.now
+        radio._lock = _Arrival(frame, power_w, now + frame.duration_s)
         radio._lock_corrupted = False
-        self._sync_until = radio.sim.now + arrival.frame.plcp_s
+        self._sync_until = now + frame.plcp_s
         meter = radio.power_meter
         if meter is not None:
             meter.note_rx()
-        radio.listener.on_rx_start(arrival.frame)
+        radio.listener.on_rx_start(frame)
 
     def _release_lock(self) -> None:
         radio = self.radio
@@ -213,14 +218,14 @@ class SinrReceiver:
             # Preamble sync broken before the receiver latched: abandon the
             # lock entirely — the receiver returns to IDLE (it cannot
             # re-sync onto frames whose preambles have already passed).
-            self._drop(lock, DROP_COLLISION)
+            self._drop(lock.frame, lock.power_w, DROP_COLLISION)
             self._release_lock()
             radio._busy_last_decode = False
         else:
             # Mid-frame stomp: the symbols are gone, corruption latches.
             radio._lock_corrupted = True
 
-    def _drop(self, arrival: "_Arrival", reason: str) -> None:
+    def _drop(self, frame: "PhyFrame", power_w: float, reason: str) -> None:
         """Record one typed discard: counter, trace, MAC callback."""
         self.drops[reason] += 1
         radio = self.radio
@@ -230,12 +235,12 @@ class SinrReceiver:
             tr.record(
                 radio.sim.now,
                 radio.node_id,
-                frame=arrival.frame.frame_id,
-                src=arrival.frame.src,
+                frame=frame.frame_id,
+                src=frame.src,
                 reason=reason,
-                power_w=arrival.power_w,
+                power_w=power_w,
                 chan=radio.channel_name,
             )
         on_rx_drop = getattr(radio.listener, "on_rx_drop", None)
         if on_rx_drop is not None:
-            on_rx_drop(arrival.frame, reason)
+            on_rx_drop(frame, reason)

@@ -93,10 +93,10 @@ class TestEifsConsumption:
     def test_eifs_flag_cleared_after_one_access(self):
         h = MacHarness([(0, 0), (100, 0)])
         mac = h.nodes[0].mac
-        mac._use_eifs = True
+        mac.radio.eifs_due = True
         h.send(0, 1)
         h.run(0.05)
-        assert mac._use_eifs is False
+        assert mac.radio.eifs_due is False
 
     def test_eifs_lengthens_the_defer(self, tracer):
         """The same seed draws the same backoff; EIFS−DIFS shows up as a
@@ -111,7 +111,7 @@ class TestEifsConsumption:
         tracer2 = type(tracer)()
         tracer2.enable("mac.handshake")
         h2 = MacHarness([(0, 0), (100, 0)], tracer=tracer2)
-        h2.nodes[0].mac._use_eifs = True
+        h2.nodes[0].mac.radio.eifs_due = True
         h2.send(0, 1)
         h2.run(0.05)
         (t_eifs,) = [
@@ -126,10 +126,10 @@ class TestEifsConsumption:
     def test_clean_decode_clears_pending_eifs(self):
         h = MacHarness([(0, 0), (100, 0), (200, 0)])
         mac2 = h.nodes[2].mac
-        mac2._use_eifs = True
+        mac2.radio.eifs_due = True
         h.send(0, 1)  # node 2 cleanly decodes the overheard RTS
         h.run(0.01)
-        assert mac2._use_eifs is False
+        assert mac2.radio.eifs_due is False
 
 
 class TestStateMachineGuards:

@@ -112,13 +112,13 @@ class TestEifs:
         h.send(0, 1)
         h.run(0.01)
         # Node 2 at 400 m: inside 550 m sensing, outside 250 m decoding.
-        assert h.nodes[2].mac._use_eifs is True
+        assert h.nodes[2].mac.radio.eifs_due is True
 
     def test_decoding_node_does_not_use_eifs(self):
         h = MacHarness([(0, 0), (100, 0), (200, 0)])
         h.send(0, 1)
         h.run(0.01)
-        assert h.nodes[2].mac._use_eifs is False
+        assert h.nodes[2].mac.radio.eifs_due is False
 
 
 class TestRetryBehaviour:

@@ -1,4 +1,4 @@
-"""Radio tests: locking, SINR corruption, capture, carrier sense, EIFS flag.
+"""Radio tests: locking, SINR corruption, capture, carrier sense, EIFS debt.
 
 These drive radios directly through ``signal_start`` / ``signal_end`` with
 hand-computed powers, so every decode rule is pinned individually.
@@ -6,10 +6,17 @@ hand-computed powers, so every decode rule is pinned individually.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from repro.builder import NetworkBuilder
+from repro.core.control_channel import ControlChannelAgent
 from repro.phy.frame import PhyFrame
 from repro.phy.radio import Radio, RadioError
+from repro.scenariospec import ComponentSpec, ScenarioSpec
+from repro.sim.trace import Tracer
 from tests.conftest import make_radio
 
 RX = 3.652e-10  # decode threshold
@@ -258,3 +265,140 @@ class TestInterferenceAccounting:
         f1 = frame(src=1)
         radio.signal_start(f1, 2e-10)
         assert radio.sinr_of(2e-10) == pytest.approx(2e-10 / NOISE, rel=1e-6)
+
+
+class TestCarrierWatch:
+    """``carrier_watch`` off: no carrier callbacks, same EIFS bookkeeping."""
+
+    @pytest.fixture
+    def unwatched(self, radio):
+        radio.carrier_watch = False
+        return radio
+
+    def test_no_busy_or_idle_calls(self, sim, unwatched):
+        f = frame()
+        unwatched.signal_start(f, CS * 5)
+        assert unwatched.carrier_busy
+        unwatched.signal_end(f.frame_id)
+        unwatched.begin_tx(frame(src=0))
+        sim.run_until(1.0)
+        assert not unwatched.carrier_busy
+        assert unwatched.listener.of("busy") == []
+        assert unwatched.listener.of("idle") == []
+        assert unwatched.listener.of("tx_end") != []  # other callbacks flow
+
+    def test_failed_idle_edge_sets_eifs_due(self, sim, unwatched):
+        f = frame()
+        unwatched.signal_start(f, CS * 5)  # sensed, not decodable
+        assert unwatched.eifs_due is False
+        unwatched.signal_end(f.frame_id)
+        assert unwatched.eifs_due is True
+
+    def test_clean_idle_edge_leaves_eifs_due_alone(self, sim, unwatched):
+        unwatched.begin_tx(frame(src=0))
+        sim.run_until(1.0)  # own TX alone: a clean idle edge
+        assert unwatched.eifs_due is False
+        unwatched.eifs_due = True
+        unwatched.begin_tx(frame(src=0))
+        sim.run_until(2.0)
+        assert unwatched.eifs_due is True  # only a decode or the MAC clears it
+
+    def test_decodes_set_eifs_due_to_their_outcome(self, sim, unwatched):
+        f1, f2 = frame(src=1), frame(src=2)
+        unwatched.signal_start(f1, RX * 10)
+        unwatched.signal_start(f2, RX * 10)  # equal power: corrupts f1
+        unwatched.signal_end(f1.frame_id)
+        assert unwatched.listener.of("rx_end") == [("rx_end", f1.frame_id, False)]
+        assert unwatched.eifs_due is True
+        unwatched.signal_end(f2.frame_id)
+        clean = frame(src=3)
+        unwatched.signal_start(clean, RX * 100)
+        unwatched.signal_end(clean.frame_id)
+        assert unwatched.listener.of("rx_end")[-1] == ("rx_end", clean.frame_id, True)
+        assert unwatched.eifs_due is False
+
+    def test_watch_on_by_default(self, radio):
+        assert radio.carrier_watch is True
+        assert radio.eifs_due is False
+
+
+DENSE_CAPTURE = Path(__file__).resolve().parents[2] / "examples" / "dense_capture.spec.json"
+
+
+def _dense_spec(mac: str, **overrides) -> ScenarioSpec:
+    """The dense-capture example (SINR reception), 3 s, under ``mac``."""
+    spec = ScenarioSpec.load(DENSE_CAPTURE)
+    return replace(
+        spec, cfg=replace(spec.cfg, duration_s=3.0),
+        mac=ComponentSpec(mac), **overrides,
+    )
+
+
+class TestControlRadio:
+    def test_control_radio_never_calls_carrier_callbacks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            ControlChannelAgent, "on_carrier_busy",
+            lambda self: calls.append("busy"),
+        )
+        monkeypatch.setattr(
+            ControlChannelAgent, "on_carrier_idle",
+            lambda self, failed: calls.append("idle"),
+        )
+        tracer = Tracer()
+        net = NetworkBuilder(
+            _dense_spec("pcmac", reception=ComponentSpec("null")), tracer=tracer
+        ).build()
+        net.run()
+        agents = [node.mac.control for node in net.nodes]
+        assert all(a.radio.carrier_watch is False for a in agents)
+        assert sum(a.stats["pcn_sent"] for a in agents) > 0
+        assert tracer.count("phy.cs") > 0
+        assert calls == []
+
+
+class TestSinrDropCounts:
+    """Typed drop totals of the dense-capture world, pinned: building lock
+    records only on demand must classify every arrival as before."""
+
+    @pytest.mark.parametrize("mac, want", [
+        ("basic", {"collision": 261, "capture_lost": 10,
+                   "below_sensitivity": 579}),
+        ("pcmac", {"collision": 210, "capture_lost": 9,
+                   "below_sensitivity": 2131}),
+    ])
+    def test_drop_totals_unchanged(self, mac, want):
+        net = NetworkBuilder(_dense_spec(mac)).build()
+        net.run()
+        got = dict.fromkeys(want, 0)
+        for node in net.nodes:
+            for reason, n in node.mac.radio.reception.drops.items():
+                got[reason] += n
+        assert got == want
+
+
+class TestOwnTxEdges:
+    def test_own_tx_busy_and_idle_edges_are_both_counted(self, sim, tracer):
+        r = make_radio(sim, 0, (0.0, 0.0), tracer=tracer)
+        r.listener = Listener()
+        r.begin_tx(frame(src=0))
+        sim.run_until(1.0)
+        assert tracer.count("phy.cs") == 2
+        assert [rec.get("busy") for rec in tracer.query("phy.cs")] == [True, False]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: begin_tx's busy edge keeps a stale "
+        "_busy_saw_foreign from an earlier sub-threshold arrival, so the "
+        "idle edge after the node's own TX requests EIFS; fixing it moves "
+        "results (see ROADMAP)",
+    )
+    def test_idle_edge_after_own_tx_ignores_earlier_sub_threshold_energy(
+        self, sim, radio
+    ):
+        hum = frame(src=1)
+        radio.signal_start(hum, CS * 0.5)  # sensed below the CS threshold
+        radio.signal_end(hum.frame_id)  # ...and gone before the TX
+        radio.begin_tx(frame(src=0))
+        sim.run_until(1.0)
+        assert radio.listener.of("idle") == [("idle", False)]
