@@ -237,8 +237,9 @@ def run_specs(
         jobs: worker process count; 1 = run serially in this process.
         store: optional on-disk memo; finished cells are appended as they
             complete, so an interrupted campaign resumes on the next call.
-        resume: when False, stored results are ignored (and overwritten) —
-            every cell is re-simulated.
+        resume: when False, stored results are ignored — every cell is
+            re-simulated (the store keeps its first line per key; cells
+            are deterministic, so the two results are identical).
         progress: optional callback receiving one line per finished cell.
         telemetry: optional callback receiving
             :class:`~repro.obs.telemetry.RunProgress` heartbeats while
@@ -397,12 +398,11 @@ def _fleet_worker_entry(
     stuck worker.
     """
     from repro.fleet.queue import WorkQueue
-    from repro.fleet.shards import open_store
     from repro.fleet.worker import FleetWorker
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    store = open_store(store_root)
+    store = ResultStore(store_root)
     work_queue = WorkQueue(store.root / "fleet")
     telemetry = queue.put if queue is not None else None
     FleetWorker(

@@ -3,44 +3,65 @@
 Layout of a store directory::
 
     <root>/
-        results.jsonl     # one JSON object per finished cell, append-only
-        meta.json         # store format version + spec schema version
+        meta.json                    # store format, spec schema, shard count
+        shards/
+            results-00.jsonl         # keys whose hash lands in shard 0x00
+            results-00.jsonl.lock    # per-shard flock taken by writers
+            ...
 
-Each ``results.jsonl`` line is ``{"key", "spec", "result"}`` (plus an
-optional ``"runtime"`` — machine-local execution stats recorded when the
-campaign ran with telemetry) where ``spec``
-is an audit record (protocol / load / seed plus the full serialized
-:class:`~repro.scenariospec.ScenarioSpec` under ``"scenario"`` — re-runnable
-via ``ScenarioSpec.from_dict``, though addressing is always by ``key``) and
-``result`` the serialised
+The key space is split by content-hash prefix, so any number of processes
+(one campaign, or a fleet of workers) can append to one store without
+serialising on, or tearing, a single file.  The shard count is fixed when
+the store is created and recorded in ``meta.json``; the recorded count
+wins over the constructor's argument.
+
+Each result line is ``{"key", "spec", "result"}`` (plus an optional
+``"runtime"`` — machine-local execution stats recorded when the campaign
+ran with telemetry) where ``spec`` is an audit record (protocol / load /
+seed plus the full serialized :class:`~repro.scenariospec.ScenarioSpec`
+under ``"scenario"`` — re-runnable via ``ScenarioSpec.from_dict``, though
+addressing is always by ``key``) and ``result`` the serialised
 :class:`~repro.experiments.scenario.ExperimentResult`.  A run that failed
 permanently (worker crash after every retry) is recorded as a ``{"key",
 "spec", "error"}`` line instead — the error is inspectable via
 :meth:`ResultStore.error` but the key stays *absent* from the result index,
-so a resumed campaign re-runs it.  Appending after every
-finished run makes interruption safe: a killed campaign keeps every completed
-cell, and the next invocation against the same store resumes from there.
+so a resumed campaign re-runs it.  Appending after every finished run makes
+interruption safe: a killed campaign keeps every completed cell, and the
+next invocation against the same store resumes from there.
 
-Writes are durable before they are visible: ``_append`` flushes and fsyncs
-the line (and, on file creation, the containing directory) *before* the
-in-memory index is updated, so a crash mid-put leaves either a complete
-line on disk or nothing — never an indexed-but-unwritten cell.
+Properties the campaign runner and the fleet rely on:
 
-The store also supports **concurrent readers**: :meth:`ResultStore.refresh`
-ingests lines appended by other processes since the last read (tracked by
-per-file byte offsets; a file that shrank or changed inode — compaction or
-quarantine by another process — triggers a full reload).  A trailing line
-without a newline during ``refresh`` is treated as an in-flight append by
-another writer and held back until it completes.
-
-Unparseable lines (a torn tail from an interrupted write, or bytes mangled
-by a filesystem fault) are **quarantined** on load: they are moved to a
-``results.jsonl.corrupt`` sidecar, the main file is atomically rewritten
-without them, and a warning reports the counts — nothing is silently
-dropped, and the main file is clean again for the next append.  Lines
-already present in the sidecar are not appended twice, and a sidecar that
-merely persists across loads (without gaining new lines) does not re-warn.
-When a key appears more than once the last line wins.
+* **Durable before visible.**  A line is flushed and fsynced (and, on file
+  creation, the shard directory too) *before* the in-memory index is
+  updated, so a crash mid-put leaves either a complete line on disk or
+  nothing — never an indexed-but-unwritten cell.  ``meta.json`` is
+  replaced atomically (tmp + fsync + rename).
+* **Exactly-once put.**  ``put`` takes the shard lock, ingests any lines
+  other writers appended meanwhile, and appends only when the key is
+  still absent — so two workers that both finish the same run (a steal
+  race) record it once.  ``put_error`` additionally yields to an existing
+  success: an error line is never written over a completed result.
+* **Lock-free reads.**  :meth:`ResultStore.refresh` ingests lines appended
+  by other processes since the last read (tracked by per-file byte
+  offsets; a file that shrank or changed inode — compaction or quarantine
+  by another process — triggers a full, idempotent reload).  A trailing
+  line without a newline is an append in flight and is held back until it
+  completes.
+* **Quarantine.**  Unparseable lines (a torn tail from an interrupted
+  write, or bytes mangled by a filesystem fault) are moved on load to a
+  ``shards/results-XX.jsonl.corrupt`` sidecar, the shard is atomically
+  rewritten without them, and a warning reports the counts — nothing is
+  silently dropped.  Lines already in the sidecar are not appended twice,
+  and a sidecar that merely persists across loads does not re-warn.  When
+  a key appears more than once, the last success wins (else the last
+  error).
+* **Crash-safe compaction.**  :meth:`ResultStore.compact` folds each shard
+  to one line per key — exactly the in-memory index semantics — and swaps
+  it in by tmp + fsync + rename, so a crash mid-compaction leaves the old
+  shard intact.
+* **Legacy adoption.**  A directory holding a flat ``results.jsonl``
+  (the pre-shard layout) has its lines migrated into shards once, on
+  open; the original is kept as ``results.jsonl.migrated``.
 """
 
 from __future__ import annotations
@@ -48,7 +69,9 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import asdict
+import zlib
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -58,12 +81,50 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.scenario import ExperimentResult
 
 #: Bump when the on-disk layout itself changes shape.
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT = 2
 
-RESULTS_FILE = "results.jsonl"
 META_FILE = "meta.json"
+SHARD_DIR = "shards"
+#: The pre-shard single-file layout, read only by the one-time migration.
+LEGACY_RESULTS_FILE = "results.jsonl"
 #: Sidecar receiving lines the loader could not parse (never deleted).
 CORRUPT_SUFFIX = ".corrupt"
+#: Default shard count — 256 keys/shard at 4k runs, and small enough that
+#: an empty store costs nothing (shard files appear on first write).
+DEFAULT_SHARDS = 16
+MAX_SHARDS = 4096
+
+
+def shard_index(key: str, shards: int) -> int:
+    """Map a content key to its shard ordinal, uniformly.
+
+    Keys are SHA-256 hex, so the leading 32 bits are already uniform; the
+    CRC fallback covers tests/tools that address synthetic keys.
+    """
+    try:
+        prefix = int(key[:8], 16)
+    except ValueError:
+        prefix = zlib.crc32(key.encode("utf-8"))
+    return prefix % shards
+
+
+@dataclass
+class CompactionStats:
+    """What one :meth:`ResultStore.compact` pass did."""
+
+    #: Shard files examined (only ones that exist on disk).
+    shards: int = 0
+    #: JSONL lines before folding, summed over shards.
+    lines_before: int = 0
+    #: JSONL lines after folding (== distinct keys kept).
+    lines_after: int = 0
+    #: Unparseable lines moved to ``.corrupt`` sidecars during the pass.
+    quarantined: int = 0
+
+    @property
+    def folded(self) -> int:
+        """Duplicate/superseded lines removed by the pass."""
+        return self.lines_before - self.lines_after - self.quarantined
 
 
 def result_to_dict(result: "ExperimentResult") -> dict:
@@ -113,66 +174,114 @@ def result_from_dict(data: dict) -> "ExperimentResult":
 
 
 class ResultStore:
-    """Append-only JSONL store of finished campaign cells.
+    """Key-prefix-sharded JSONL store of finished campaign cells.
 
-    The in-memory index mirrors the file; ``put`` appends one durable line
-    *then* updates the index, so a crash loses at most the cell being
-    written and never leaves the index ahead of the disk.  ``refresh``
+    The in-memory index mirrors the shard files; ``put`` appends one
+    durable line *then* updates the index, so a crash loses at most the
+    cell being written and never leaves the index ahead of the disk.
+    Writers take the key's shard lock; readers take none, and ``refresh``
     ingests lines other processes appended since the last read.
     """
 
-    def __init__(self, root: str | os.PathLike) -> None:
+    def __init__(
+        self, root: str | os.PathLike, *, shards: int = DEFAULT_SHARDS
+    ) -> None:
+        if not 1 <= shards <= MAX_SHARDS:
+            raise ValueError(f"shards must be in [1, {MAX_SHARDS}], got {shards!r}")
+        # repro.fleet imports this module, so its primitives load lazily.
+        from repro.fleet.locks import atomic_write_json, read_json
+
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.path = self.root / RESULTS_FILE
+        (self.root / SHARD_DIR).mkdir(parents=True, exist_ok=True)
         self._index: dict[str, "ExperimentResult"] = {}
         self._specs: dict[str, dict] = {}
         self._runtimes: dict[str, dict] = {}
         self._errors: dict[str, dict] = {}
         #: path → (inode, byte offset) of the last ingested position.
         self._offsets: dict[Path, tuple[int, int]] = {}
-        self._write_meta()
-        self._load()
-
-    # ------------------------------------------------------------------ disk
-
-    def _meta(self) -> dict:
-        """The store's self-description, persisted as ``meta.json``."""
-        return {
-            "store_format": STORE_FORMAT_VERSION,
-            "spec_schema": SPEC_SCHEMA_VERSION,
-        }
-
-    def _write_meta(self) -> None:
         meta_path = self.root / META_FILE
-        meta = self._meta()
-        if meta_path.exists():
-            try:
-                if json.loads(meta_path.read_text()) == meta:
-                    return
-            except (OSError, json.JSONDecodeError):
-                pass
-            # Stale or unreadable meta (e.g. a store created under an older
-            # spec schema, whose keys no longer match anyway): refresh so the
-            # store's self-description matches what gets appended from now on.
-        meta_path.write_text(json.dumps(meta, indent=2) + "\n")
-
-    def _result_files(self) -> list[Path]:
-        """Every JSONL file holding result lines (one for the flat layout)."""
-        return [self.path]
-
-    def _file_for(self, key: str) -> Path:
-        """The JSONL file new lines for ``key`` are appended to."""
-        return self.path
-
-    def _load(self) -> None:
+        recorded = read_json(meta_path) or {}
+        count = recorded.get("shards")
+        self._shards = (
+            count if isinstance(count, int) and count >= 1 else int(shards)
+        )
+        meta = {
+            "store_format": STORE_FORMAT,
+            "spec_schema": SPEC_SCHEMA_VERSION,
+            "shards": self._shards,
+        }
+        if recorded != meta:
+            # New, pre-shard, unreadable, or created under an older spec
+            # schema (whose keys no longer match anyway): describe what
+            # gets appended from now on.  The replace is atomic, so a
+            # crash leaves the old document, never a torn one.
+            atomic_write_json(meta_path, meta)
+        self._migrate_legacy()
         for path in self._result_files():
             self._read_file(path, tail_is_torn=True)
+
+    # ------------------------------------------------------------- layout
+
+    @property
+    def shards(self) -> int:
+        """The store's shard count (fixed at creation)."""
+        return self._shards
+
+    def _result_files(self) -> list[Path]:
+        """Every shard file on disk, in shard order."""
+        return sorted((self.root / SHARD_DIR).glob("results-*.jsonl"))
+
+    def _file_for(self, key: str) -> Path:
+        """The shard file lines for ``key`` are appended to."""
+        index = shard_index(key, self._shards)
+        return self.root / SHARD_DIR / f"results-{index:02x}.jsonl"
+
+    @staticmethod
+    def _lock(path: Path):
+        """The writers' lock guarding ``path``."""
+        from repro.fleet.locks import FileLock
+
+        return FileLock(path.with_name(path.name + ".lock"))
+
+    def _migrate_legacy(self) -> None:
+        """Fold a flat ``results.jsonl`` into shards, once, under a lock.
+
+        Raw lines are distributed verbatim (the per-line format is
+        identical), unparseable ones go to the root sidecar, and the flat
+        file is renamed ``results.jsonl.migrated`` so a second opener
+        sees nothing to do.
+        """
+        legacy = self.root / LEGACY_RESULTS_FILE
+        if not legacy.exists():
+            return
+        with self._lock(self.root / SHARD_DIR / ".migrate"):
+            if not legacy.exists():  # another process won the race
+                return
+            buckets: dict[Path, list[str]] = {}
+            bad: list[str] = []
+            for line in self._lines(legacy):
+                try:
+                    key = json.loads(line)["key"]
+                except (json.JSONDecodeError, KeyError, TypeError):
+                    bad.append(line)
+                    continue
+                buckets.setdefault(self._file_for(key), []).append(line)
+            for path, lines in buckets.items():
+                self._write_lines(path, lines, "a")
+            if bad:
+                self._write_lines(
+                    legacy.with_name(legacy.name + CORRUPT_SUFFIX), bad, "a"
+                )
+            self._dirsync(self.root / SHARD_DIR)
+            legacy.replace(legacy.with_name(legacy.name + ".migrated"))
+            self._dirsync(self.root)
+
+    # --------------------------------------------------------------- read
 
     def refresh(self) -> None:
         """Ingest lines appended by other processes since the last read.
 
-        Cheap when nothing changed (one ``stat`` per file).  A file that
+        Cheap when nothing changed (one ``stat`` per shard).  A file that
         shrank or changed inode — rewritten by another process's compaction
         or quarantine — is fully reloaded, which is safe because ingesting
         a file's lines in order is idempotent.  A trailing line with no
@@ -182,21 +291,24 @@ class ResultStore:
             self._read_file(path, tail_is_torn=False)
 
     def refresh_key(self, key: str) -> None:
-        """Like :meth:`refresh`, but only for the file holding ``key``.
+        """Like :meth:`refresh`, but only for the shard holding ``key``.
 
         The cheap single-key staleness check fleet workers use on the
-        cache-hit path — one ``stat`` for a sharded store instead of one
-        per shard.
+        cache-hit path — one ``stat`` instead of one per shard.
         """
         self._read_file(self._file_for(key), tail_is_torn=False)
 
-    def _read_file(self, path: Path, *, tail_is_torn: bool) -> None:
+    def _read_file(
+        self, path: Path, *, tail_is_torn: bool, locked: bool = False
+    ) -> None:
         """Ingest ``path`` from its last-read offset.
 
         ``tail_is_torn`` selects how a trailing newline-less fragment is
         treated: on initial load it is a torn write from a crash (parse it,
         quarantine on failure); on refresh it may be another writer's
         in-flight append (hold it back until the newline lands).
+        ``locked`` says the caller already holds the shard lock, which a
+        quarantine needs.
         """
         if not path.exists():
             self._offsets.pop(path, None)
@@ -224,7 +336,8 @@ class ResultStore:
                 bad.append(line)
         self._offsets[path] = (st.st_ino, offset + consumed)
         if bad:
-            self._quarantine(path)
+            with nullcontext() if locked else self._lock(path):
+                self._quarantine(path)
 
     def _ingest_line(self, line: str) -> bool:
         """Index one JSONL line; False when it does not parse."""
@@ -254,44 +367,28 @@ class ResultStore:
     def _quarantine(self, path: Path) -> None:
         """Move unparseable lines to the sidecar; rewrite the file clean.
 
-        The rewrite is atomic (tmp + fsync + rename) so a crash mid-cleanup
-        leaves either the old file or the clean one, never a hybrid.  Lines
-        the sidecar already holds are not appended twice, and no warning is
-        emitted unless the sidecar actually grew — so reloading a store
-        whose corruption was already quarantined stays silent.
+        Runs under the shard lock, so no writer appends between the read
+        and the rename.  The rewrite is atomic (tmp + fsync + rename) so a
+        crash mid-cleanup leaves either the old file or the clean one,
+        never a hybrid.  Lines the sidecar already holds are not appended
+        twice, and no warning is emitted unless the sidecar actually grew —
+        so reloading a store whose corruption was already quarantined
+        stays silent.
         """
         good: list[str] = []
         bad: list[str] = []
-        with path.open("r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                (good if self._parseable(line) else bad).append(line)
+        for line in self._lines(path):
+            (good if self._parseable(line) else bad).append(line)
         sidecar = path.with_name(path.name + CORRUPT_SUFFIX)
-        already: set[str] = set()
-        if sidecar.exists():
-            already = {
-                line.strip()
-                for line in sidecar.read_text(encoding="utf-8").splitlines()
-                if line.strip()
-            }
+        already = set(self._lines(sidecar)) if sidecar.exists() else set()
         fresh = [line for line in bad if line not in already]
         if fresh:
-            with sidecar.open("a", encoding="utf-8") as fh:
-                for line in fresh:
-                    fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for line in good:
-                fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(path)
-        self._dirsync(path.parent)
-        self._offsets[path] = (path.stat().st_ino, path.stat().st_size)
+            self._write_lines(sidecar, fresh, "a")
+        self._replace_lines(path, good)
+        # Re-ingest the clean file (idempotent): it may hold lines other
+        # writers appended after this reader's last offset.
+        self._offsets.pop(path, None)
+        self._read_file(path, tail_is_torn=False, locked=True)
         if fresh:
             warnings.warn(
                 f"result store {path}: quarantined {len(fresh)} corrupt "
@@ -313,6 +410,34 @@ class ResultStore:
             return False
         return True
 
+    # --------------------------------------------------------------- disk
+
+    @staticmethod
+    def _lines(path: Path) -> list[str]:
+        """The non-blank lines of ``path``, stripped.
+
+        Undecodable bytes read as U+FFFD, so a mangled line fails to parse
+        and is quarantined instead of making the whole shard unreadable.
+        """
+        text = path.read_text(encoding="utf-8", errors="replace")
+        return [line.strip() for line in text.splitlines() if line.strip()]
+
+    @staticmethod
+    def _write_lines(path: Path, lines: list[str], mode: str) -> None:
+        """Write ``lines`` to ``path`` (``mode`` ``"a"`` appends), fsynced."""
+        with path.open(mode, encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+
+    def _replace_lines(self, path: Path, lines: list[str]) -> None:
+        """Atomically replace ``path`` with ``lines`` (tmp + fsync + rename)."""
+        tmp = path.with_name(path.name + ".tmp")
+        self._write_lines(tmp, lines, "w")
+        tmp.replace(path)
+        self._dirsync(path.parent)
+
     @staticmethod
     def _dirsync(directory: Path) -> None:
         """fsync a directory so a just-created/renamed entry is durable."""
@@ -326,6 +451,20 @@ class ResultStore:
             pass
         finally:
             os.close(fd)
+
+    def _append(self, path: Path, record: dict) -> None:
+        """Durably append one JSONL record (write, flush, fsync).
+
+        The containing directory is fsynced when the file is created, so
+        the new directory entry survives a crash too.  Callers update the
+        in-memory index only *after* this returns — disk first, index
+        second — which is what makes a mid-put crash recoverable.
+        """
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        created = not path.exists()
+        self._write_lines(path, [line], "a")
+        if created:
+            self._dirsync(path.parent)
 
     # ----------------------------------------------------------------- access
 
@@ -361,7 +500,7 @@ class ResultStore:
 
         Errored keys are *not* in the result index (``get`` returns None,
         ``in`` is False), so a resumed campaign re-runs them; the error
-        record survives for post-mortems until a success overwrites it.
+        record survives for post-mortems until a success supersedes it.
         """
         return self._errors.get(key)
 
@@ -369,27 +508,7 @@ class ResultStore:
         """Every recorded permanent failure, keyed by cell key."""
         return dict(self._errors)
 
-    def _append(self, record: dict) -> None:
-        """Durably append one JSONL record to its home file."""
-        self._append_to(self._file_for(record["key"]), record)
-
-    def _append_to(self, path: Path, record: dict) -> None:
-        """Durably append one JSONL record (write, flush, fsync).
-
-        The containing directory is fsynced when the file is created, so
-        the new directory entry survives a crash too.  Callers update the
-        in-memory index only *after* this returns — disk first, index
-        second — which is what makes a mid-put crash recoverable.
-        """
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        created = not path.exists()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        if created:
-            self._dirsync(path.parent)
+    # ----------------------------------------------------------------- writes
 
     @staticmethod
     def _spec_summary(spec: RunSpec) -> dict:
@@ -412,22 +531,30 @@ class ResultStore:
         *,
         runtime: dict | None = None,
     ) -> str:
-        """Record one finished cell; returns its key.
+        """Record one finished cell, exactly once per content key.
 
+        Under the shard lock the store first ingests concurrent appends;
+        if the key is already present the call is an idempotent no-op —
+        the second finisher of a stolen run does not duplicate the line.
         ``runtime`` is an optional machine-local stats dict (see
         :func:`repro.obs.telemetry.runtime_stats`) persisted alongside the
         cell but excluded from the result — it describes *this* execution,
         not the scenario.
         """
         key = spec.key()
-        record = {
-            "key": key,
-            "spec": self._spec_summary(spec),
-            "result": result_to_dict(result),
-        }
-        if runtime is not None:
-            record["runtime"] = runtime
-        self._append(record)
+        path = self._file_for(key)
+        with self._lock(path):
+            self._read_file(path, tail_is_torn=False, locked=True)
+            if key in self._index:
+                return key
+            record = {
+                "key": key,
+                "spec": self._spec_summary(spec),
+                "result": result_to_dict(result),
+            }
+            if runtime is not None:
+                record["runtime"] = runtime
+            self._append(path, record)
         self._index[key] = result
         self._errors.pop(key, None)
         self._specs[key] = record["spec"]
@@ -436,17 +563,75 @@ class ResultStore:
         return key
 
     def put_error(self, spec: RunSpec, error: dict) -> str:
-        """Record one permanently failed cell; returns its key.
+        """Record one permanently failed cell — unless a success exists.
 
         ``error`` is a structured failure description (see
         :func:`repro.campaign.runner.error_record` — kind, message,
         traceback, attempts).  The key stays absent from the result index
-        so a later ``--resume`` re-runs the cell.
+        so a later ``--resume`` re-runs the cell.  A completed result
+        always outranks an error for the same (deterministic) key, so a
+        late error from a presumed-dead worker never shadows the thief's
+        success.
         """
         key = spec.key()
-        self._append(
-            {"key": key, "spec": self._spec_summary(spec), "error": error}
-        )
+        path = self._file_for(key)
+        with self._lock(path):
+            self._read_file(path, tail_is_torn=False, locked=True)
+            if key in self._index:
+                return key
+            summary = self._spec_summary(spec)
+            self._append(path, {"key": key, "spec": summary, "error": error})
         self._errors[key] = error
-        self._specs.setdefault(key, self._spec_summary(spec))
+        self._specs.setdefault(key, summary)
         return key
+
+    # ------------------------------------------------------------- compaction
+
+    def compact(self) -> CompactionStats:
+        """Fold every shard to one line per key; crash-safe, lock-guarded.
+
+        Keeps, per key, the **last success** line (its runtime included)
+        or — when no success exists — the **last error** line: exactly
+        what the in-memory index derives from the full history, so reads
+        before and after compaction are bit-identical.  Each shard is
+        rewritten to a tmp file, fsynced, then renamed over the original;
+        a crash at any point leaves a complete shard (old or new) behind.
+        """
+        stats = CompactionStats()
+        for path in self._result_files():
+            with self._lock(path):
+                self._compact_shard(path, stats)
+        return stats
+
+    def _compact_shard(self, path: Path, stats: CompactionStats) -> None:
+        successes: dict[str, str] = {}
+        errors: dict[str, str] = {}
+        order: list[str] = []
+        bad: list[str] = []
+        lines = self._lines(path)
+        for line in lines:
+            try:
+                record = json.loads(line)
+                key = record["key"]
+            except (json.JSONDecodeError, KeyError, TypeError):
+                bad.append(line)
+                continue
+            if key not in successes and key not in errors:
+                order.append(key)
+            if "error" in record:
+                errors[key] = line
+            else:
+                successes[key] = line
+        kept = [successes.get(key) or errors[key] for key in order]
+        self._replace_lines(path, kept)
+        if bad:
+            self._write_lines(path.with_name(path.name + CORRUPT_SUFFIX), bad, "a")
+        # Re-ingest the folded shard (idempotent): this both picks up any
+        # lines other writers appended since our last refresh and leaves
+        # the offset at the new file's end.
+        self._offsets.pop(path, None)
+        self._read_file(path, tail_is_torn=False, locked=True)
+        stats.shards += 1
+        stats.lines_before += len(lines)
+        stats.lines_after += len(kept)
+        stats.quarantined += len(bad)

@@ -221,9 +221,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     fs.add_argument("--lease-ttl", type=float, default=0.0,
                     help="lease time-to-live [s]; a worker silent this "
                          "long forfeits its run to the fleet (0 = default)")
-    fs.add_argument("--shards", type=int, default=0,
-                    help="shard count when creating a new store "
-                         "(0 = default; existing stores keep theirs)")
     fs.add_argument("--live", action="store_true",
                     help="stream per-cell progress heartbeats")
 
@@ -270,17 +267,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _open_store(args: argparse.Namespace) -> ResultStore | None:
-    if not args.store:
-        return None
-    # The factory respects an existing layout: a fleet-created sharded
-    # store opens sharded here too, so `repro campaign` and `repro fleet`
-    # share one content-addressed cache.
-    from repro.fleet.shards import open_store
-
-    return open_store(args.store)
-
-
 def _scale_config(scale: str) -> tuple[ScenarioConfig, tuple[float, ...]]:
     if scale == "full":
         return ScenarioConfig(), FIGURE8_LOADS_KBPS
@@ -303,7 +289,7 @@ def _run_figure(args: argparse.Namespace, *, delay: bool) -> int:
         seeds=seeds,
         progress=lambda s: print("  " + s),
         jobs=args.jobs,
-        store=_open_store(args),
+        store=ResultStore(args.store) if args.store else None,
         resume=args.resume,
     )
     if delay:
@@ -534,7 +520,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         tuple(float(x) for x in args.loads.split(",")),
         tuple(int(s) for s in args.seeds.split(",")),
     )
-    store = _open_store(args)
+    store = ResultStore(args.store) if args.store else None
     print(
         f"campaign: {len(campaign.protocols)} protocols × "
         f"{len(campaign.loads_kbps)} loads × {len(campaign.seeds)} seeds "
@@ -639,7 +625,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
 
 
 def _run_fleet_serve(args: argparse.Namespace) -> int:
-    from repro.fleet import DEFAULT_LEASE_TTL_S, DEFAULT_SHARDS, open_store
+    from repro.fleet import DEFAULT_LEASE_TTL_S
 
     base = ScenarioConfig(node_count=args.nodes, duration_s=args.duration)
     campaign = Campaign.build(
@@ -648,9 +634,7 @@ def _run_fleet_serve(args: argparse.Namespace) -> int:
         tuple(float(x) for x in args.loads.split(",")),
         tuple(int(s) for s in args.seeds.split(",")),
     )
-    # Fleet stores default to sharded; an existing flat store is migrated
-    # into shards in place, an existing sharded store keeps its count.
-    store = open_store(args.store, shards=args.shards or DEFAULT_SHARDS)
+    store = ResultStore(args.store)
     ttl = args.lease_ttl or DEFAULT_LEASE_TTL_S
     print(
         f"fleet serve: {campaign.size} cells, jobs={args.jobs}, "
@@ -723,10 +707,9 @@ def _run_fleet_work(args: argparse.Namespace) -> int:
         DEFAULT_MAX_ATTEMPTS,
         FleetWorker,
         WorkQueue,
-        open_store,
     )
 
-    store = open_store(args.store)
+    store = ResultStore(args.store)
     queue = WorkQueue(store.root / "fleet")
     worker = FleetWorker(
         store,
@@ -761,14 +744,9 @@ def _run_fleet_work(args: argparse.Namespace) -> int:
 
 
 def _run_fleet_status(args: argparse.Namespace) -> int:
-    from repro.fleet import (
-        DEFAULT_STALL_AFTER_S,
-        WorkQueue,
-        fleet_status,
-        open_store,
-    )
+    from repro.fleet import DEFAULT_STALL_AFTER_S, WorkQueue, fleet_status
 
-    store = open_store(args.store)
+    store = ResultStore(args.store)
     queue = WorkQueue(store.root / "fleet")
     if args.stop:
         queue.request_stop()
@@ -784,18 +762,7 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
 
 
 def _run_fleet_compact(args: argparse.Namespace) -> int:
-    from repro.fleet import ShardedResultStore, open_store
-
-    store = open_store(args.store)
-    if not isinstance(store, ShardedResultStore):
-        print(
-            f"error: {args.store} is a flat (unsharded) store; open it "
-            "once with `repro fleet serve` to migrate it into shards, "
-            "then compact",
-            file=sys.stderr,
-        )
-        return 2
-    stats = store.compact()
+    stats = ResultStore(args.store).compact()
     print(
         f"compacted {stats.shards} shard(s): {stats.lines_before} -> "
         f"{stats.lines_after} line(s), {stats.folded} folded, "

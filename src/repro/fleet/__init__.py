@@ -10,7 +10,8 @@ coordination surface:
   simply stops renewing and another worker steals the run, with the full
   ownership history (attempts, owners, steal reasons) audited on the task
   and carried into any permanent error record.
-* :mod:`~repro.fleet.shards` — :class:`ShardedResultStore`, a key-prefix
+* :mod:`~repro.fleet.shards` — :class:`ShardedResultStore`, the fleet's
+  name for :class:`~repro.campaign.store.ResultStore`: a key-prefix
   sharded result store with per-shard locks, exactly-once ``put``
   semantics under concurrent writers, and crash-safe compaction; it
   doubles as the **content-addressed result cache** — identical specs are
@@ -37,7 +38,6 @@ from repro.fleet.shards import (
     DEFAULT_SHARDS,
     CompactionStats,
     ShardedResultStore,
-    open_store,
 )
 from repro.fleet.supervisor import (
     DEFAULT_STALL_AFTER_S,
@@ -68,7 +68,6 @@ __all__ = [
     "WorkerReport",
     "enqueue_specs",
     "fleet_status",
-    "open_store",
     "wait_for_drain",
     "worker_identity",
 ]

@@ -1,328 +1,28 @@
-"""Sharded, multi-writer result store with crash-safe compaction.
+"""The fleet's names for the sharded result store.
 
-The flat :class:`~repro.campaign.store.ResultStore` keeps every cell in
-one ``results.jsonl`` — fine for one campaign process, but a fleet of
-workers appending concurrently would serialize on (and eventually tear)
-a single file.  :class:`ShardedResultStore` splits the key space by
-content-hash prefix::
-
-    <root>/
-        meta.json                    # format 2: records the shard count
-        shards/
-            results-00.jsonl         # keys whose hash lands in shard 0x00
-            results-00.jsonl.lock    # per-shard flock for writers
-            ...
-
-Properties the fleet relies on:
-
-* **Exactly-once put.**  ``put`` takes the shard lock, ingests any lines
-  other writers appended meanwhile, and appends only when the key is
-  still absent — so two workers that both finish the same run (a steal
-  race) record it once.  ``put_error`` additionally yields to an existing
-  success: an error line is never written over a completed result.
-* **Lock-free reads.**  ``get``/``refresh`` never take locks — appends
-  are whole lines and the incremental reader holds back a torn tail, so
-  readers see a prefix-consistent stream.
-* **Crash-safe compaction.**  :meth:`compact` folds each shard to one
-  line per key (the last success, else the last error — exactly the
-  in-memory index semantics) and swaps it in by tmp + fsync + rename, so
-  a crash mid-compaction leaves the old shard intact.  Other processes
-  notice the inode change and reload idempotently.
-* **Legacy adoption.**  Opening a directory holding a flat
-  ``results.jsonl`` migrates its lines into shards once (the original is
-  kept as ``results.jsonl.migrated``), so existing stores upgrade in
-  place.
+The store itself — per-shard writer locks, exactly-once ``put``,
+crash-safe compaction, one-time adoption of a flat ``results.jsonl`` —
+is :class:`repro.campaign.store.ResultStore`, the only store layout.  A
+campaign process and a fleet of workers open the same directory with the
+same class.
 """
 
-from __future__ import annotations
-
-import json
-import os
-import zlib
-from dataclasses import dataclass, field
-from pathlib import Path
-
 from repro.campaign.store import (
-    CORRUPT_SUFFIX,
-    META_FILE,
-    RESULTS_FILE,
+    DEFAULT_SHARDS,
+    MAX_SHARDS,
+    CompactionStats,
     ResultStore,
+    shard_index,
 )
-from repro.fleet.locks import FileLock
 
-#: On-disk format id for the sharded layout (flat stores are format 1).
-SHARDED_STORE_FORMAT = 2
+#: The fleet-side name of :class:`~repro.campaign.store.ResultStore`
+#: (the same class object).
+ShardedResultStore = ResultStore
 
-SHARD_DIR = "shards"
-#: Default shard count — 256 keys/shard at 4k runs, and small enough that
-#: an empty store costs nothing (shard files appear on first write).
-DEFAULT_SHARDS = 16
-MAX_SHARDS = 4096
-
-
-def shard_index(key: str, shards: int) -> int:
-    """Map a content key to its shard ordinal, uniformly.
-
-    Keys are SHA-256 hex, so the leading 32 bits are already uniform; the
-    CRC fallback covers tests/tools that address synthetic keys.
-    """
-    try:
-        prefix = int(key[:8], 16)
-    except ValueError:
-        prefix = zlib.crc32(key.encode("utf-8"))
-    return prefix % shards
-
-
-@dataclass
-class CompactionStats:
-    """What one :meth:`ShardedResultStore.compact` pass did."""
-
-    #: Shard files examined (only ones that exist on disk).
-    shards: int = 0
-    #: JSONL lines before folding, summed over shards.
-    lines_before: int = 0
-    #: JSONL lines after folding (== distinct keys kept).
-    lines_after: int = 0
-    #: Unparseable lines moved to ``.corrupt`` sidecars during the pass.
-    quarantined: int = 0
-
-    @property
-    def folded(self) -> int:
-        """Duplicate/superseded lines removed by the pass."""
-        return self.lines_before - self.lines_after - self.quarantined
-
-
-class ShardedResultStore(ResultStore):
-    """Key-prefix-sharded JSONL result store for concurrent writers.
-
-    API-compatible with :class:`~repro.campaign.store.ResultStore` (the
-    campaign runner accepts either), with writer-side locking and
-    idempotent ``put`` semantics layered on top.
-    """
-
-    def __init__(
-        self, root: str | os.PathLike, *, shards: int = DEFAULT_SHARDS
-    ) -> None:
-        if not 1 <= shards <= MAX_SHARDS:
-            raise ValueError(f"shards must be in [1, {MAX_SHARDS}], got {shards!r}")
-        root = Path(root)
-        # An existing sharded store dictates its own shard count — the
-        # layout on disk wins over the constructor argument.
-        existing = self._existing_shard_count(root)
-        self._shards = existing if existing is not None else int(shards)
-        super().__init__(root)
-
-    @staticmethod
-    def _existing_shard_count(root: Path) -> int | None:
-        """The shard count recorded in an existing meta.json, if any."""
-        try:
-            meta = json.loads((root / META_FILE).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        count = meta.get("shards")
-        return int(count) if isinstance(count, int) and count >= 1 else None
-
-    # ------------------------------------------------------------- layout
-
-    @property
-    def shards(self) -> int:
-        """The store's shard count (fixed at creation)."""
-        return self._shards
-
-    def _meta(self) -> dict:
-        meta = super()._meta()
-        meta["store_format"] = SHARDED_STORE_FORMAT
-        meta["shards"] = self._shards
-        return meta
-
-    def _shard_path(self, index: int) -> Path:
-        return self.root / SHARD_DIR / f"results-{index:02x}.jsonl"
-
-    def _file_for(self, key: str) -> Path:
-        return self._shard_path(shard_index(key, self._shards))
-
-    def _result_files(self) -> list[Path]:
-        shard_dir = self.root / SHARD_DIR
-        if not shard_dir.is_dir():
-            return []
-        return sorted(
-            p
-            for p in shard_dir.glob("results-*.jsonl")
-            if not p.name.startswith(".")
-        )
-
-    def _shard_lock(self, path: Path) -> FileLock:
-        return FileLock(path.with_name(path.name + ".lock"))
-
-    # --------------------------------------------------------------- load
-
-    def _load(self) -> None:
-        (self.root / SHARD_DIR).mkdir(parents=True, exist_ok=True)
-        self._migrate_legacy()
-        super()._load()
-
-    def _migrate_legacy(self) -> None:
-        """Fold a flat ``results.jsonl`` into shards, once, under a lock.
-
-        Raw lines are distributed verbatim (the per-line format is
-        identical), unparseable ones go to the root sidecar, and the flat
-        file is renamed ``results.jsonl.migrated`` so a second opener
-        sees nothing to do.
-        """
-        legacy = self.root / RESULTS_FILE
-        if not legacy.exists():
-            return
-        with FileLock(self.root / SHARD_DIR / ".migrate.lock"):
-            if not legacy.exists():  # another process won the race
-                return
-            buckets: dict[Path, list[str]] = {}
-            bad: list[str] = []
-            with legacy.open("r", encoding="utf-8") as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        key = json.loads(line)["key"]
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        bad.append(line)
-                        continue
-                    buckets.setdefault(self._file_for(key), []).append(line)
-            for path, lines in buckets.items():
-                with path.open("a", encoding="utf-8") as fh:
-                    for line in lines:
-                        fh.write(line + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            if bad:
-                sidecar = legacy.with_name(legacy.name + CORRUPT_SUFFIX)
-                with sidecar.open("a", encoding="utf-8") as fh:
-                    for line in bad:
-                        fh.write(line + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            self._dirsync(self.root / SHARD_DIR)
-            legacy.replace(legacy.with_name(legacy.name + ".migrated"))
-            self._dirsync(self.root)
-
-    # -------------------------------------------------------------- writes
-
-    def put(self, spec, result, *, runtime: dict | None = None) -> str:
-        """Record one finished cell, exactly once per content key.
-
-        Under the shard lock the store first ingests concurrent appends;
-        if the key is already present the call is an idempotent no-op —
-        the second finisher of a stolen run does not duplicate the line.
-        """
-        key = spec.key()
-        path = self._file_for(key)
-        with self._shard_lock(path):
-            self._read_file(path, tail_is_torn=False)
-            if key in self._index:
-                return key
-            return super().put(spec, result, runtime=runtime)
-
-    def put_error(self, spec, error: dict) -> str:
-        """Record one permanent failure — unless a success already exists.
-
-        A completed result always outranks an error for the same
-        (deterministic) key, so a late error from a presumed-dead worker
-        never shadows the thief's success.
-        """
-        key = spec.key()
-        path = self._file_for(key)
-        with self._shard_lock(path):
-            self._read_file(path, tail_is_torn=False)
-            if key in self._index:
-                return key
-            return super().put_error(spec, error)
-
-    # ---------------------------------------------------------- compaction
-
-    def compact(self) -> CompactionStats:
-        """Fold every shard to one line per key; crash-safe, lock-guarded.
-
-        Keeps, per key, the **last success** line (its runtime included)
-        or — when no success exists — the **last error** line: exactly
-        what the in-memory index derives from the full history, so reads
-        before and after compaction are bit-identical.  Each shard is
-        rewritten to a tmp file, fsynced, then renamed over the original;
-        a crash at any point leaves a complete shard (old or new) behind.
-        """
-        stats = CompactionStats()
-        for path in self._result_files():
-            with self._shard_lock(path):
-                self._compact_shard(path, stats)
-        # Everything just read is already indexed; offsets were advanced
-        # inside the lock, so concurrent refreshes stay cheap.
-        return stats
-
-    def _compact_shard(self, path: Path, stats: CompactionStats) -> None:
-        successes: dict[str, str] = {}
-        errors: dict[str, str] = {}
-        order: list[str] = []
-        bad: list[str] = []
-        lines_before = 0
-        with path.open("r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                lines_before += 1
-                try:
-                    record = json.loads(line)
-                    key = record["key"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    bad.append(line)
-                    continue
-                if key not in successes and key not in errors:
-                    order.append(key)
-                if "error" in record:
-                    errors[key] = line
-                else:
-                    successes[key] = line
-        kept = [successes.get(key) or errors[key] for key in order]
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for line in kept:
-                fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(path)
-        self._dirsync(path.parent)
-        if bad:
-            sidecar = path.with_name(path.name + CORRUPT_SUFFIX)
-            with sidecar.open("a", encoding="utf-8") as fh:
-                for line in bad:
-                    fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-        # Re-ingest the folded shard (idempotent): this both picks up any
-        # lines other writers appended since our last refresh and leaves
-        # the offset at the new file's end.
-        self._offsets.pop(path, None)
-        self._read_file(path, tail_is_torn=False)
-        stats.shards += 1
-        stats.lines_before += lines_before
-        stats.lines_after += len(kept)
-        stats.quarantined += len(bad)
-
-
-def open_store(
-    root: str | os.PathLike, *, shards: int | None = None
-) -> ResultStore:
-    """Open ``root`` as whatever store layout it already is.
-
-    An existing sharded store (meta.json records ``shards``) opens as
-    :class:`ShardedResultStore` regardless of ``shards``; a fresh or flat
-    directory opens sharded when ``shards`` is given (migrating any flat
-    file in place) and flat otherwise — so campaign tooling can read
-    fleet stores and vice versa without flags.
-    """
-    root = Path(root)
-    existing = ShardedResultStore._existing_shard_count(root)
-    if existing is not None:
-        return ShardedResultStore(root)
-    if shards is not None:
-        return ShardedResultStore(root, shards=shards)
-    return ResultStore(root)
+__all__ = [
+    "DEFAULT_SHARDS",
+    "MAX_SHARDS",
+    "CompactionStats",
+    "ShardedResultStore",
+    "shard_index",
+]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import (
     ResultStore,
@@ -102,6 +104,17 @@ class TestResultStore:
         assert store.get("deadbeef") is None
         assert "deadbeef" not in store
 
+    def test_put_is_exactly_once_per_key(self, tmp_path):
+        root = tmp_path / "store"
+        store = ResultStore(root)
+        spec = make_spec()
+        store.put(spec, make_result())
+        newer = make_result()
+        newer.throughput_kbps = 99.0
+        store.put(spec, newer)  # an idempotent no-op: the key is stored
+        assert store.get(spec.key()) == make_result()
+        assert len(store._file_for(spec.key()).read_text().splitlines()) == 1
+
     def test_last_write_wins_on_duplicate_key(self, tmp_path):
         root = tmp_path / "store"
         store = ResultStore(root)
@@ -109,7 +122,11 @@ class TestResultStore:
         store.put(spec, make_result())
         newer = make_result()
         newer.throughput_kbps = 99.0
-        store.put(spec, newer)
+        # A second line for the key, as an older store or a concurrent
+        # writer without the shard lock could leave it.
+        with store._file_for(spec.key()).open("a", encoding="utf-8") as fh:
+            record = {"key": spec.key(), "spec": {}, "result": result_to_dict(newer)}
+            fh.write(json.dumps(record) + "\n")
         reloaded = ResultStore(root)
         assert len(reloaded) == 1
         assert reloaded.get(spec.key()).throughput_kbps == 99.0
@@ -120,10 +137,11 @@ class TestResultStore:
         spec, result = make_spec(), make_result()
         store.put(spec, result)
         # Simulate a crash mid-append: a truncated JSON tail.
-        with store.path.open("a", encoding="utf-8") as fh:
+        with store._file_for(spec.key()).open("a", encoding="utf-8") as fh:
             fh.write('{"key": "abc", "result": {"proto')
 
-        reloaded = ResultStore(root)
+        with pytest.warns(RuntimeWarning, match="quarantined 1 corrupt"):
+            reloaded = ResultStore(root)
         assert len(reloaded) == 1
         assert reloaded.get(spec.key()) == result
 
@@ -131,7 +149,7 @@ class TestResultStore:
         root = tmp_path / "store"
         ResultStore(root)
         meta = json.loads((root / "meta.json").read_text())
-        assert meta["store_format"] >= 1
+        assert meta["store_format"] == 2
         assert meta["spec_schema"] >= 1
         # Reopening must not rewrite it.
         before = (root / "meta.json").stat().st_mtime_ns

@@ -1,20 +1,22 @@
-"""ShardedResultStore: exactly-once puts, compaction, migration, adoption."""
+"""The sharded result store: exactly-once puts, compaction, migration,
+adoption, and one class behind every entry point."""
 
 from __future__ import annotations
 
 import json
+import os
 import warnings
 
 import pytest
 
+from repro.analysis.export import load_store_results
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import CORRUPT_SUFFIX, ResultStore
+from repro.campaign.store import CORRUPT_SUFFIX, ResultStore, result_to_dict
 from repro.config import ScenarioConfig, TrafficConfig
 from repro.fleet.shards import (
     DEFAULT_SHARDS,
     MAX_SHARDS,
     ShardedResultStore,
-    open_store,
     shard_index,
 )
 from repro.scenariospec import ComponentSpec, ScenarioSpec
@@ -41,6 +43,18 @@ def shard_lines(store: ShardedResultStore) -> list[str]:
         if path.exists():
             lines.extend(path.read_text().splitlines())
     return lines
+
+
+def write_flat_store(root, cells) -> None:
+    """A pre-shard store: format-1 meta and one flat ``results.jsonl``."""
+    root.mkdir(parents=True)
+    (root / "meta.json").write_text(
+        json.dumps({"store_format": 1, "spec_schema": 1}, indent=2) + "\n"
+    )
+    with (root / "results.jsonl").open("w", encoding="utf-8") as fh:
+        for spec, result in cells:
+            record = {"key": spec.key(), "spec": {}, "result": result_to_dict(result)}
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 class TestShardIndex:
@@ -164,47 +178,95 @@ class TestCompaction:
 
 class TestLegacyMigration:
     def test_flat_store_migrates_into_shards(self, tmp_path):
-        flat = ResultStore(tmp_path / "store")
-        expected = {}
-        for seed in (1, 2, 3):
-            spec, result = run_cell(seed)
-            flat.put(spec, result)
-            expected[spec.key()] = result
+        cells = [run_cell(seed) for seed in (1, 2, 3)]
+        write_flat_store(tmp_path / "store", cells)
+        expected = {spec.key(): result for spec, result in cells}
         sharded = ShardedResultStore(tmp_path / "store", shards=4)
         assert {k: sharded.get(k) for k in expected} == expected
         assert not (tmp_path / "store" / "results.jsonl").exists()
         assert (tmp_path / "store" / "results.jsonl.migrated").exists()
 
     def test_migration_happens_once(self, tmp_path):
-        flat = ResultStore(tmp_path / "store")
         spec, result = run_cell()
-        flat.put(spec, result)
+        write_flat_store(tmp_path / "store", [(spec, result)])
         ShardedResultStore(tmp_path / "store", shards=4)
         again = ShardedResultStore(tmp_path / "store")
         assert again.get(spec.key()) == result
         assert len(shard_lines(again)) == 1
 
+    def test_failed_meta_rewrite_keeps_the_old_meta(self, tmp_path, monkeypatch):
+        """A crash while the format-1 meta is being replaced (here: its
+        fsync fails after the new file was opened and written) leaves the
+        previous ``meta.json`` byte-identical and the flat file unmigrated;
+        the next open completes the upgrade."""
+        spec, result = run_cell()
+        root = tmp_path / "store"
+        write_flat_store(root, [(spec, result)])
+        before = (root / "meta.json").read_bytes()
 
-class TestOpenStoreFactory:
-    def test_fresh_directory_opens_flat(self, tmp_path):
-        store = open_store(tmp_path / "store")
-        assert type(store) is ResultStore
+        def failing_fsync(fd):
+            raise OSError("simulated crash mid-write")
 
-    def test_shards_argument_creates_sharded(self, tmp_path):
-        store = open_store(tmp_path / "store", shards=4)
-        assert isinstance(store, ShardedResultStore)
-        assert store._shards == 4
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(OSError, match="simulated crash"):
+                ResultStore(root, shards=4)
+        assert (root / "meta.json").read_bytes() == before
+        assert (root / "results.jsonl").exists()
 
-    def test_existing_sharded_layout_wins(self, tmp_path):
-        open_store(tmp_path / "store", shards=4)
-        again = open_store(tmp_path / "store")
-        assert isinstance(again, ShardedResultStore)
-        assert again._shards == 4
+        store = ResultStore(root, shards=4)
+        assert store.get(spec.key()) == result
+        assert json.loads((root / "meta.json").read_text())["shards"] == 4
+
+
+class TestShardCountAtOpen:
+    def test_shards_argument_sets_a_new_stores_count(self, tmp_path):
+        store = ResultStore(tmp_path / "store", shards=4)
+        assert store.shards == 4
+
+    def test_recorded_count_wins(self, tmp_path):
+        ResultStore(tmp_path / "store", shards=4)
+        again = ResultStore(tmp_path / "store", shards=DEFAULT_SHARDS)
+        assert again.shards == 4
 
     def test_default_shard_count_applied(self, tmp_path):
-        store = open_store(tmp_path / "store", shards=DEFAULT_SHARDS)
+        store = ResultStore(tmp_path / "store")
         meta = json.loads((store.root / "meta.json").read_text())
         assert meta["shards"] == DEFAULT_SHARDS
+
+
+class TestOneStoreClass:
+    """A fleet-written store reads whole through every entry point, and
+    opening it never rewrites its ``meta.json``."""
+
+    @pytest.fixture
+    def fleet_store(self, tmp_path):
+        store = ShardedResultStore(tmp_path / "store", shards=4)
+        expected = {}
+        for seed in (1, 2, 3):
+            spec, result = run_cell(seed)
+            expected[store.put(spec, result)] = result
+        return store.root, expected
+
+    def test_fleet_name_is_the_store_class(self):
+        assert ShardedResultStore is ResultStore
+
+    def test_result_store_reads_a_fleet_store(self, fleet_store):
+        root, expected = fleet_store
+        meta = (root / "meta.json").read_bytes()
+        store = ResultStore(root)
+        assert {k: store.get(k) for k in store.keys()} == expected
+        assert (root / "meta.json").read_bytes() == meta
+        assert ResultStore(root).shards == 4
+
+    def test_export_reads_a_fleet_store(self, fleet_store):
+        root, expected = fleet_store
+        meta = (root / "meta.json").read_bytes()
+        assert sorted(load_store_results(root), key=lambda r: r.seed) == sorted(
+            expected.values(), key=lambda r: r.seed
+        )
+        assert (root / "meta.json").read_bytes() == meta
+        assert ResultStore(root).shards == 4
 
 
 class TestShardQuarantine:

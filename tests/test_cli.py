@@ -272,9 +272,10 @@ class TestFleetCli:
     def test_work_drains_an_enqueued_run(self, capsys, tmp_path):
         from repro.campaign.spec import Campaign
         from repro.config import ScenarioConfig
-        from repro.fleet import WorkQueue, enqueue_specs, open_store
+        from repro.campaign.store import ResultStore
+        from repro.fleet import WorkQueue, enqueue_specs
 
-        store = open_store(tmp_path / "store", shards=4)
+        store = ResultStore(tmp_path / "store", shards=4)
         queue = WorkQueue(store.root / "fleet")
         campaign = Campaign.build(
             ScenarioConfig(node_count=6, duration_s=4.0),
@@ -297,12 +298,21 @@ class TestFleetCli:
         assert main(["fleet", "status", store_dir, "--clear-stop"]) == 0
         assert "STOP requested" not in capsys.readouterr().out
 
-    def test_compact_refuses_flat_store(self, capsys, tmp_path):
-        from repro.campaign.store import ResultStore
-
-        ResultStore(tmp_path / "flat")
-        assert main(["fleet", "compact", str(tmp_path / "flat")]) == 2
-        assert "flat" in capsys.readouterr().err
+    def test_campaign_store_compacts_then_resumes_cached(self, capsys, tmp_path):
+        """`repro campaign --store` and `repro fleet` share one layout: the
+        campaign's store compacts, and a rerun is all cache hits."""
+        store_dir = str(tmp_path / "store")
+        campaign = ["campaign", "--protocols", "basic,pcmac", "--loads", "80",
+                    "--seeds", "1", "--nodes", "6", "--duration", "4",
+                    "--store", store_dir]
+        assert main(campaign) == 0
+        capsys.readouterr()
+        assert main(["fleet", "compact", store_dir]) == 0
+        assert "compacted" in capsys.readouterr().out
+        assert main(campaign) == 0
+        out = capsys.readouterr().out
+        assert out.count("[cached]") == 2
+        assert "0 simulated, 2 cached" in out
 
     def test_fleet_requires_subcommand(self):
         with pytest.raises(SystemExit):
