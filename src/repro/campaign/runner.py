@@ -237,9 +237,9 @@ def run_specs(
         jobs: worker process count; 1 = run serially in this process.
         store: optional on-disk memo; finished cells are appended as they
             complete, so an interrupted campaign resumes on the next call.
-        resume: when False, stored results are ignored — every cell is
-            re-simulated (the store keeps its first line per key; cells
-            are deterministic, so the two results are identical).
+        resume: when False, stored results are ignored (and overwritten) —
+            every cell is re-simulated, and a result that differs from the
+            stored one replaces it.
         progress: optional callback receiving one line per finished cell.
         telemetry: optional callback receiving
             :class:`~repro.obs.telemetry.RunProgress` heartbeats while

@@ -36,11 +36,14 @@ Properties the campaign runner and the fleet rely on:
   updated, so a crash mid-put leaves either a complete line on disk or
   nothing — never an indexed-but-unwritten cell.  ``meta.json`` is
   replaced atomically (tmp + fsync + rename).
-* **Exactly-once put.**  ``put`` takes the shard lock, ingests any lines
-  other writers appended meanwhile, and appends only when the key is
-  still absent — so two workers that both finish the same run (a steal
-  race) record it once.  ``put_error`` additionally yields to an existing
-  success: an error line is never written over a completed result.
+* **One line per result.**  ``put`` takes the shard lock, ingests any
+  lines other writers appended meanwhile, and skips the append when the
+  key already holds the same result (wall time aside) — so two workers
+  that both finish the same run (a steal race) record it once.  A
+  *different* result for the key is appended and wins on reload: a
+  ``--no-resume`` rerun after a simulator fix refreshes the store.
+  ``put_error`` yields to an existing success: an error line is never
+  written over a completed result.
 * **Lock-free reads.**  :meth:`ResultStore.refresh` ingests lines appended
   by other processes since the last read (tracked by per-file byte
   offsets; a file that shrank or changed inode — compaction or quarantine
@@ -75,6 +78,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
+from repro.campaign.locks import FileLock, atomic_write_json, read_json
 from repro.campaign.spec import SPEC_SCHEMA_VERSION, RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -173,6 +177,16 @@ def result_from_dict(data: dict) -> "ExperimentResult":
     return ExperimentResult(**payload)
 
 
+def _same_result(a: dict, b: dict) -> bool:
+    """True when two :func:`result_to_dict` payloads differ at most in
+    ``wallclock_s``, compared by their JSON text (so NaNs match)."""
+
+    def text(payload: dict) -> str:
+        return json.dumps({**payload, "wallclock_s": None}, sort_keys=True)
+
+    return text(a) == text(b)
+
+
 class ResultStore:
     """Key-prefix-sharded JSONL store of finished campaign cells.
 
@@ -188,9 +202,6 @@ class ResultStore:
     ) -> None:
         if not 1 <= shards <= MAX_SHARDS:
             raise ValueError(f"shards must be in [1, {MAX_SHARDS}], got {shards!r}")
-        # repro.fleet imports this module, so its primitives load lazily.
-        from repro.fleet.locks import atomic_write_json, read_json
-
         self.root = Path(root)
         (self.root / SHARD_DIR).mkdir(parents=True, exist_ok=True)
         self._index: dict[str, "ExperimentResult"] = {}
@@ -237,10 +248,8 @@ class ResultStore:
         return self.root / SHARD_DIR / f"results-{index:02x}.jsonl"
 
     @staticmethod
-    def _lock(path: Path):
+    def _lock(path: Path) -> FileLock:
         """The writers' lock guarding ``path``."""
-        from repro.fleet.locks import FileLock
-
         return FileLock(path.with_name(path.name + ".lock"))
 
     def _migrate_legacy(self) -> None:
@@ -531,11 +540,15 @@ class ResultStore:
         *,
         runtime: dict | None = None,
     ) -> str:
-        """Record one finished cell, exactly once per content key.
+        """Record one finished cell; returns its key.
 
-        Under the shard lock the store first ingests concurrent appends;
-        if the key is already present the call is an idempotent no-op —
-        the second finisher of a stolen run does not duplicate the line.
+        Under the shard lock the store first ingests concurrent appends.
+        If the key already holds the same result (``wallclock_s`` aside),
+        the call is a no-op — the second finisher of a stolen run does not
+        duplicate the line.  Any other result is appended and replaces the
+        stored one (last success wins on reload too), so recomputing a
+        cell refreshes it.
+
         ``runtime`` is an optional machine-local stats dict (see
         :func:`repro.obs.telemetry.runtime_stats`) persisted alongside the
         cell but excluded from the result — it describes *this* execution,
@@ -543,17 +556,20 @@ class ResultStore:
         """
         key = spec.key()
         path = self._file_for(key)
+        record = {
+            "key": key,
+            "spec": self._spec_summary(spec),
+            "result": result_to_dict(result),
+        }
+        if runtime is not None:
+            record["runtime"] = runtime
         with self._lock(path):
             self._read_file(path, tail_is_torn=False, locked=True)
-            if key in self._index:
+            stored = self._index.get(key)
+            if stored is not None and _same_result(
+                result_to_dict(stored), record["result"]
+            ):
                 return key
-            record = {
-                "key": key,
-                "spec": self._spec_summary(spec),
-                "result": result_to_dict(result),
-            }
-            if runtime is not None:
-                record["runtime"] = runtime
             self._append(path, record)
         self._index[key] = result
         self._errors.pop(key, None)

@@ -9,7 +9,7 @@ slices.  A worker that dies, hangs, or is SIGKILLed simply stops renewing
 and records the takeover (prior owner, reason) in the task's audit trail.
 
 Correctness rests on two rules, both enforced under the per-key
-:class:`~repro.fleet.locks.FileLock`:
+:class:`~repro.campaign.locks.FileLock`:
 
 * a live (unexpired) lease is never replaced — at most one worker owns a
   run at any wall-clock instant;

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.fleet.lease import Lease, LeaseLost
-from repro.fleet.locks import FileLock, atomic_write_json, read_json
+from repro.campaign.locks import FileLock, atomic_write_json, read_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.campaign.spec import RunSpec

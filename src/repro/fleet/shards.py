@@ -1,6 +1,6 @@
 """The fleet's names for the sharded result store.
 
-The store itself — per-shard writer locks, exactly-once ``put``,
+The store itself — per-shard writer locks, one line per result,
 crash-safe compaction, one-time adoption of a flat ``results.jsonl`` —
 is :class:`repro.campaign.store.ResultStore`, the only store layout.  A
 campaign process and a fleet of workers open the same directory with the

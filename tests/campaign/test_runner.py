@@ -8,7 +8,7 @@ must not change any simulated quantity.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -91,11 +91,22 @@ class TestCachingAndResume:
 
     def test_no_resume_recomputes_everything(self, tmp_path):
         campaign = small_campaign()
+        spec = campaign.specs()[0]
+        # A stale line, as a run under older simulator code left it.
+        stale = run_specs([spec]).results[spec.key()]
+        ResultStore(tmp_path / "store").put(
+            spec, replace(stale, throughput_kbps=-1.0)
+        )
         store = ResultStore(tmp_path / "store")
-        run_campaign(campaign, store=store)
         again = run_campaign(campaign, store=store, resume=False)
         assert again.executed == campaign.size
         assert again.cached == 0
+        # The store now holds the rerun's results, the stale cell included.
+        reopened = ResultStore(tmp_path / "store")
+        for key, result in again.results.items():
+            assert deterministic_fields(reopened.get(key)) == (
+                deterministic_fields(result)
+            )
 
     def test_duplicate_specs_collapse(self):
         spec = RunSpec(cfg=small_cfg(), protocol="basic")

@@ -104,15 +104,14 @@ class TestResultStore:
         assert store.get("deadbeef") is None
         assert "deadbeef" not in store
 
-    def test_put_is_exactly_once_per_key(self, tmp_path):
+    def test_identical_put_writes_one_line(self, tmp_path):
         root = tmp_path / "store"
         store = ResultStore(root)
         spec = make_spec()
         store.put(spec, make_result())
-        newer = make_result()
-        newer.throughput_kbps = 99.0
-        store.put(spec, newer)  # an idempotent no-op: the key is stored
-        assert store.get(spec.key()) == make_result()
+        again = make_result()
+        again.wallclock_s = 5.0  # a second finisher: same result, own wall time
+        ResultStore(root).put(spec, again)
         assert len(store._file_for(spec.key()).read_text().splitlines()) == 1
 
     def test_last_write_wins_on_duplicate_key(self, tmp_path):
@@ -122,11 +121,8 @@ class TestResultStore:
         store.put(spec, make_result())
         newer = make_result()
         newer.throughput_kbps = 99.0
-        # A second line for the key, as an older store or a concurrent
-        # writer without the shard lock could leave it.
-        with store._file_for(spec.key()).open("a", encoding="utf-8") as fh:
-            record = {"key": spec.key(), "spec": {}, "result": result_to_dict(newer)}
-            fh.write(json.dumps(record) + "\n")
+        store.put(spec, newer)
+        assert store.get(spec.key()).throughput_kbps == 99.0
         reloaded = ResultStore(root)
         assert len(reloaded) == 1
         assert reloaded.get(spec.key()).throughput_kbps == 99.0
