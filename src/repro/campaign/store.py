@@ -233,6 +233,13 @@ class ResultStore:
 
     # ------------------------------------------------------------- layout
 
+    @staticmethod
+    def exists(root: str | os.PathLike) -> bool:
+        """Whether ``root`` holds a store (sharded, or flat awaiting
+        adoption), checked without creating anything."""
+        root = Path(root)
+        return (root / META_FILE).exists() or (root / LEGACY_RESULTS_FILE).exists()
+
     @property
     def shards(self) -> int:
         """The store's shard count (fixed at creation)."""

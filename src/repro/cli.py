@@ -27,7 +27,8 @@ Experiments:
   with supervised lease-holding workers; ``work`` runs one standalone
   worker against any fleet store (same machine or shared filesystem);
   ``status`` prints the structured liveness snapshot (tasks, leases,
-  worker heartbeats, stalls); ``compact`` folds each result shard to one
+  worker heartbeats, stalls) and creates nothing unless asked to
+  ``--stop`` or ``--clear-stop``; ``compact`` folds each result shard to one
   line per key, crash-safely
 
 ``--scale quick`` (default) runs a reduced configuration; ``--scale full``
@@ -746,6 +747,11 @@ def _run_fleet_work(args: argparse.Namespace) -> int:
 def _run_fleet_status(args: argparse.Namespace) -> int:
     from repro.fleet import DEFAULT_STALL_AFTER_S, WorkQueue, fleet_status
 
+    if not (args.stop or args.clear_stop) and not ResultStore.exists(args.store):
+        # A status query creates nothing, so a mistyped path is an error
+        # rather than a new, empty store.
+        print(f"error: no result store at {args.store}", file=sys.stderr)
+        return 2
     store = ResultStore(args.store)
     queue = WorkQueue(store.root / "fleet")
     if args.stop:

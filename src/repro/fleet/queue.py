@@ -95,7 +95,12 @@ class Claimed:
 
 
 class WorkQueue:
-    """Filesystem-backed run queue shared by every fleet process."""
+    """Filesystem-backed run queue shared by every fleet process.
+
+    Constructing one creates nothing: each directory is made by the first
+    write into it, so a read-only look (``repro fleet status``) leaves a
+    store that never ran a fleet untouched.
+    """
 
     def __init__(
         self,
@@ -105,8 +110,6 @@ class WorkQueue:
     ) -> None:
         self.root = Path(root)
         self.clock = clock
-        for sub in (QUEUE_DIR, LEASE_DIR, LOCK_DIR, WORKER_DIR):
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------- path layout
 
@@ -367,6 +370,7 @@ class WorkQueue:
 
     def request_stop(self) -> None:
         """Ask every worker to finish its current run and exit."""
+        self.root.mkdir(parents=True, exist_ok=True)
         (self.root / STOP_FILE).touch()
 
     def clear_stop(self) -> None:

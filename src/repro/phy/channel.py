@@ -39,15 +39,15 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   ``reindex_interval_s``; the cell-size padding covers the maximum drift
   between refreshes, keeping the candidate set an exact superset of the
   reachable radios.
-* **Epoch-cached link gains.**  Mobility models expose a movement epoch
-  (:class:`~repro.mobility.base.MobilityModel`) that bumps only when a
-  position sample actually moves.  Per-link ``(gain, distance)`` pairs are
-  cached keyed on both endpoints' epochs: static scenarios compute each link
-  gain exactly once, and mobile scenarios get hits during pause legs and
-  repeated same-instant samples.  Radios whose mobility bound is 0 m/s are
-  flagged static at attach and skip position polling entirely.  The cache
-  still pays in mobile worlds: short cells that sit inside every node's
-  initial pause resolve nearly every pair from it.
+* **Epoch-cached link gains (moving worlds).**  Mobility models expose a
+  movement epoch (:class:`~repro.mobility.base.MobilityModel`) that bumps
+  only when a position sample actually moves.  Per-link ``(gain,
+  distance)`` pairs are cached keyed on both endpoints' epochs, so mobile
+  scenarios get hits during pause legs and repeated same-instant samples:
+  short cells that sit inside every node's initial pause resolve nearly
+  every pair from it.  Radios whose mobility bound is 0 m/s are flagged
+  static at attach and skip position polling entirely.  An all-static
+  world keeps no link records at all (see static replay).
 * **Motion-bounded culling.**  Each source keeps, per receiver it has
   resolved, the exact distance ``d`` at the time ``t`` it was computed.
   Two radios close at most ``2 · max_speed_mps`` (``drift``), so while
@@ -63,17 +63,21 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   interpolated waypoint samples outrunning their speed bound by ~1e-13 m.
   The record is ``(d + drift · t, src epoch, rx epoch, gain, d)``, so the
   skip is one dict lookup and one compare against a limit hoisted out of
-  the loop; it survives the source moving.  In an all-static world
-  ``drift`` is 0 and the bound only skips pairs beyond the reach of the
-  power at hand.
-* **One survivor builder.**  A single scalar loop visits the candidate
-  block in attach order, skips the pairs the motion bound rules out, and
-  resolves each other radio to a received power and a delay, or culls it
-  below the floor.  Its ``[(rx, rx_power, delay)]`` list is the whole
-  per-transmit answer; one shared tail numbers it into edges.
+  the loop; it survives the source moving.  Records exist only in moving
+  worlds.
+* **One survivor builder per world kind.**  A scalar loop visits the
+  candidate block in attach order and resolves each other radio to a
+  received power and a delay, or culls it below the floor.  Its
+  ``[(rx, rx_power, delay)]`` list is the whole per-transmit answer; one
+  shared tail numbers it into edges.  The moving world's loop skips the
+  pairs the motion bound rules out and keeps the records; the static
+  world's reads the attach-time positions and keeps nothing.
 * **Static replay.**  In an all-static world (``max_speed_mps == 0``) the
   survivor list of each ``(source, tx power)`` is built once and replayed
-  on every later transmit.
+  on every later transmit.  It is the static fan-out's only cache: a miss
+  computes the distance and gain of every candidate afresh, which is
+  cheaper than keeping a record per pair that the memo already
+  duplicates.
 * **Edge batches.**  The brute scan schedules every edge as its own event;
   the indexed path hands all edges of one transmit to the kernel in one
   :meth:`~repro.sim.kernel.Simulator.schedule_edges` call, numbered with
@@ -233,8 +237,9 @@ class Channel:
         #: motion bound compares against one hoisted limit.  A record is
         #: overwritten whenever its pair is resolved afresh, and a table
         #: holding more than twice its source's candidate block is cleared,
-        #: so memory stays O(pairs within a block) — static scenarios keep
-        #: every link gain forever.
+        #: so memory stays O(pairs within a block).  Only moving worlds
+        #: write records: an all-static world resolves through static
+        #: replay alone.
         self._links: dict[int, dict[int, tuple]] = {}
         #: Motion bound: how fast any pair can close [m/s] (both ends at
         #: ``max_speed_mps``).
@@ -397,14 +402,48 @@ class Channel:
         reach = self.propagation.range_for(tx_power, self.interference_floor_w)
         return reach + reach * _BOUND_SLACK_REL + _BOUND_SLACK_M
 
+    def _static_survivors(
+        self, entry: _RadioEntry, tx_power: float
+    ) -> list[tuple[Radio, float, float]]:
+        """An all-static world's ``[(rx, rx_power, delay)]``, attach order.
+
+        Built once per ``(source, tx power)`` for static replay, which is
+        the only cache: every radio is pinned at its attach-time ``pos``,
+        so each candidate is resolved straight from it — no link record,
+        no motion bound.  A pair resolved again for another power level
+        yields the same distance and gain floats, so every power and delay
+        is the float :meth:`_fanout_brute` computes.
+        """
+        src_pos = entry.pos
+        size = self._cell_size
+        candidates = self._block_candidates(
+            (int(src_pos[0] // size), int(src_pos[1] // size))
+        )
+        floor = self.interference_floor_w
+        gain_at = self.propagation.gain_at
+        model_delay = self.model_propagation_delay
+        out: list[tuple[Radio, float, float]] = []
+        append = out.append
+        for cand in candidates:
+            if cand is entry:
+                continue
+            dist = distance(src_pos, cand.pos)
+            rx_power = tx_power * gain_at(dist)
+            if rx_power < floor:
+                continue
+            append(
+                (cand.radio, rx_power, dist / SPEED_OF_LIGHT if model_delay else 0.0)
+            )
+        return out
+
     def _survivors(
         self, src: Radio, entry: _RadioEntry | None, tx_power: float, now: float
     ) -> list[tuple[Radio, float, float]]:
         """Radios above the floor as ``[(rx, rx_power, delay)]``, attach order.
 
-        The one resolve loop of the indexed fan-out, shared by static replay
-        and the mobile path.  The candidate block is a superset of every
-        radio above the interference floor.  A candidate whose last exact
+        The resolve loop of a moving world's indexed fan-out (and of an
+        unattached transmitter's).  The candidate block is a superset of
+        every radio above the interference floor.  A candidate whose last exact
         distance, shrunk by the most both ends can have closed since
         (``drift * Δt``), still lies beyond the culling reach is skipped
         unpolled: the brute scan culls it too.  A cached gain and distance
@@ -462,9 +501,7 @@ class Channel:
             else:
                 dist = distance(src_pos, rx_pos)
                 gain = gain_at(dist)
-                # A static world's key is ``dist`` itself: no float per pair.
-                key = dist + drift_now if drift_now else dist
-                links[seq] = (key, src_epoch, rx_epoch, gain, dist)
+                links[seq] = (dist + drift_now, src_epoch, rx_epoch, gain, dist)
             rx_power = tx_power * gain
             if rx_power < floor:
                 continue
@@ -537,14 +574,15 @@ class Channel:
             )
 
     def _fanout_indexed(self, src: Radio, frame: PhyFrame) -> None:
-        """Grid-indexed fan-out: :meth:`_survivors`, then one edge batch.
+        """Grid-indexed fan-out: a survivor list, then one edge batch.
 
         Produces the exact event schedule of :meth:`_fanout_brute`: the
         survivors come in attach order and take the seqs the brute scan's
         ``schedule`` calls would (receiver *i*: start ``base + 2i``, end
         ``base + 2i + 1``), so same-time ties break identically.  In an
         all-static world a ``(source, tx power)`` survivor list can never
-        change, so it is memoised and replayed.
+        change, so :meth:`_static_survivors` builds it once and it is
+        replayed; a moving world runs :meth:`_survivors` per transmit.
         """
         sim = self.sim
         now = sim.now
@@ -555,7 +593,7 @@ class Channel:
             fanouts = self._static_fanouts
             hits = fanouts.get(key)
             if hits is None:
-                hits = self._survivors(src, entry, tx_power, now)
+                hits = self._static_survivors(entry, tx_power)
                 if len(fanouts) >= _STATIC_FANOUT_CAP:
                     fanouts.clear()
                 fanouts[key] = hits

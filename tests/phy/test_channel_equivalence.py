@@ -446,10 +446,10 @@ class TestGainCacheInvalidation:
         return build_world(seed=21, n=2, side_m=400.0, mobile=mobile,
                            spatial_index=True)
 
-    def _transmit_at(self, sim, chan, src, t, fid):
+    def _transmit_at(self, sim, chan, src, t, fid, power=MAX_POWER_W):
         frame = PhyFrame(
             payload=None, size_bytes=100, bitrate_bps=2e6, plcp_s=0.0,
-            tx_power_w=MAX_POWER_W, src=src.node_id, frame_id=fid,
+            tx_power_w=power, src=src.node_id, frame_id=fid,
         )
         sim.schedule(t, lambda: chan.transmit(src, frame))
 
@@ -484,23 +484,30 @@ class TestGainCacheInvalidation:
         powers = [e[4] for e in starts]
         assert len(set(powers)) == 3
 
-    def test_static_world_caches_each_link_once(self):
-        sim, chan, radios, log = self._world(mobile=False)
-        for fid, t in enumerate((0.1, 1.0, 2.0, 3.0), start=1):
-            self._transmit_at(sim, chan, radios[0], t, fid)
-        sim.run_until(10.0)
-        starts = [e for e in log if e[0] == "start"]
+    def test_static_world_keeps_no_link_records(self):
+        """Static replay is the static fan-out's only cache: one source at
+        two power levels leaves one memo entry per (source, power) and no
+        per-pair record, and every received power matches the brute scan."""
+        powers = (MAX_POWER_W, PHY.power_levels_w[4], MAX_POWER_W,
+                  PHY.power_levels_w[4])
+        logs = []
+        for flag in (False, True):
+            sim, chan, radios, log = build_world(
+                seed=21, n=2, side_m=400.0, mobile=False, spatial_index=flag
+            )
+            for fid, (t, power) in enumerate(zip((0.1, 1.0, 2.0, 3.0), powers),
+                                             start=1):
+                self._transmit_at(sim, chan, radios[0], t, fid, power)
+            sim.run_until(10.0)
+            logs.append(log)
+        starts = [e for e in logs[1] if e[0] == "start"]
         assert len(starts) == 4
-        assert len({e[4] for e in starts}) == 1  # same link, same gain
-        # One ordered-pair record, computed once, valid forever: src_seq 0
-        # → {rx_seq 1: (key, src epoch 0, rx epoch 0, gain, dist)} beside
-        # the source's own never-visited record.
-        assert set(chan._links) == {0}
-        links = chan._links[0]
-        assert set(links) == {0, 1}
-        key, src_epoch, rx_epoch, _, dist = links[1]
-        assert (src_epoch, rx_epoch) == (0, 0)
-        assert key == dist  # a static world has no drift
+        assert logs[0] == logs[1]
+        assert len({e[4] for e in starts}) == 2  # one power per level
+        assert chan._links == {}
+        assert set(chan._static_fanouts) == {
+            (0, MAX_POWER_W), (0, PHY.power_levels_w[4])
+        }
 
     def test_source_movement_keeps_one_record_per_pair(self):
         """A moving source's records are overwritten in place, not

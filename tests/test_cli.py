@@ -298,6 +298,32 @@ class TestFleetCli:
         assert main(["fleet", "status", store_dir, "--clear-stop"]) == 0
         assert "STOP requested" not in capsys.readouterr().out
 
+    def test_status_creates_nothing(self, capsys, tmp_path):
+        """A plain status on a store that never ran a fleet reports an
+        empty fleet and leaves the directory tree exactly as it was."""
+        from repro.campaign.store import ResultStore
+
+        store_dir = tmp_path / "store"
+        ResultStore(store_dir, shards=4)
+
+        def tree():
+            return sorted(str(p.relative_to(store_dir))
+                          for p in store_dir.rglob("*"))
+
+        before = tree()
+        assert main(["fleet", "status", str(store_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "fleet: 0 task(s) queued" in out
+        assert "0 result(s)" in out
+        assert tree() == before
+        assert not (store_dir / "fleet").exists()
+
+    def test_status_on_missing_store_fails(self, capsys, tmp_path):
+        missing = tmp_path / "nothing"
+        assert main(["fleet", "status", str(missing)]) == 2
+        assert "no result store" in capsys.readouterr().err
+        assert not missing.exists()
+
     def test_campaign_store_compacts_then_resumes_cached(self, capsys, tmp_path):
         """`repro campaign --store` and `repro fleet` share one layout: the
         campaign's store compacts, and a rerun is all cache hits."""
