@@ -63,8 +63,11 @@ Properties the campaign runner and the fleet rely on:
   it in by tmp + fsync + rename, so a crash mid-compaction leaves the old
   shard intact.
 * **Legacy adoption.**  A directory holding a flat ``results.jsonl``
-  (the pre-shard layout) has its lines migrated into shards once, on
-  open; the original is kept as ``results.jsonl.migrated``.
+  (the pre-shard layout) is migrated into shards only by
+  :meth:`ResultStore.migrate_legacy` (``repro fleet compact``); the
+  original is kept as ``results.jsonl.migrated``.  Opening a flat store
+  any other way raises :class:`FlatStoreError` before writing anything,
+  so reading an old store never changes it.
 """
 
 from __future__ import annotations
@@ -99,6 +102,16 @@ DEFAULT_SHARDS = 16
 MAX_SHARDS = 4096
 
 
+class FlatStoreError(RuntimeError):
+    """The directory holds a pre-shard ``results.jsonl`` not yet migrated."""
+
+    def __init__(self, root: Path) -> None:
+        super().__init__(
+            f"{root} holds a flat pre-shard {LEGACY_RESULTS_FILE}; migrate "
+            f"it into shards with `repro fleet compact {root}` first"
+        )
+
+
 def shard_index(key: str, shards: int) -> int:
     """Map a content key to its shard ordinal, uniformly.
 
@@ -110,6 +123,37 @@ def shard_index(key: str, shards: int) -> int:
     except ValueError:
         prefix = zlib.crc32(key.encode("utf-8"))
     return prefix % shards
+
+
+def _shard_file(root: Path, key: str, shards: int) -> Path:
+    """The shard file under ``root`` that lines for ``key`` go to."""
+    return root / SHARD_DIR / f"results-{shard_index(key, shards):02x}.jsonl"
+
+
+def _prepare_layout(root: Path, shards: int) -> int:
+    """Create the shard directory and ``meta.json``; return the shard count.
+
+    The count recorded in ``meta.json`` wins over ``shards``.
+    """
+    if not 1 <= shards <= MAX_SHARDS:
+        raise ValueError(f"shards must be in [1, {MAX_SHARDS}], got {shards!r}")
+    (root / SHARD_DIR).mkdir(parents=True, exist_ok=True)
+    meta_path = root / META_FILE
+    recorded = read_json(meta_path) or {}
+    count = recorded.get("shards")
+    count = count if isinstance(count, int) and count >= 1 else int(shards)
+    meta = {
+        "store_format": STORE_FORMAT,
+        "spec_schema": SPEC_SCHEMA_VERSION,
+        "shards": count,
+    }
+    if recorded != meta:
+        # New, pre-shard, unreadable, or created under an older spec
+        # schema (whose keys no longer match anyway): describe what gets
+        # appended from now on.  The replace is atomic, so a crash leaves
+        # the old document, never a torn one.
+        atomic_write_json(meta_path, meta)
+    return count
 
 
 @dataclass
@@ -200,34 +244,16 @@ class ResultStore:
     def __init__(
         self, root: str | os.PathLike, *, shards: int = DEFAULT_SHARDS
     ) -> None:
-        if not 1 <= shards <= MAX_SHARDS:
-            raise ValueError(f"shards must be in [1, {MAX_SHARDS}], got {shards!r}")
         self.root = Path(root)
-        (self.root / SHARD_DIR).mkdir(parents=True, exist_ok=True)
+        if (self.root / LEGACY_RESULTS_FILE).exists():
+            raise FlatStoreError(self.root)
         self._index: dict[str, "ExperimentResult"] = {}
         self._specs: dict[str, dict] = {}
         self._runtimes: dict[str, dict] = {}
         self._errors: dict[str, dict] = {}
         #: path → (inode, byte offset) of the last ingested position.
         self._offsets: dict[Path, tuple[int, int]] = {}
-        meta_path = self.root / META_FILE
-        recorded = read_json(meta_path) or {}
-        count = recorded.get("shards")
-        self._shards = (
-            count if isinstance(count, int) and count >= 1 else int(shards)
-        )
-        meta = {
-            "store_format": STORE_FORMAT,
-            "spec_schema": SPEC_SCHEMA_VERSION,
-            "shards": self._shards,
-        }
-        if recorded != meta:
-            # New, pre-shard, unreadable, or created under an older spec
-            # schema (whose keys no longer match anyway): describe what
-            # gets appended from now on.  The replace is atomic, so a
-            # crash leaves the old document, never a torn one.
-            atomic_write_json(meta_path, meta)
-        self._migrate_legacy()
+        self._shards = _prepare_layout(self.root, shards)
         for path in self._result_files():
             self._read_file(path, tail_is_torn=True)
 
@@ -251,46 +277,53 @@ class ResultStore:
 
     def _file_for(self, key: str) -> Path:
         """The shard file lines for ``key`` are appended to."""
-        index = shard_index(key, self._shards)
-        return self.root / SHARD_DIR / f"results-{index:02x}.jsonl"
+        return _shard_file(self.root, key, self._shards)
 
     @staticmethod
     def _lock(path: Path) -> FileLock:
         """The writers' lock guarding ``path``."""
         return FileLock(path.with_name(path.name + ".lock"))
 
-    def _migrate_legacy(self) -> None:
-        """Fold a flat ``results.jsonl`` into shards, once, under a lock.
+    @classmethod
+    def migrate_legacy(
+        cls, root: str | os.PathLike, *, shards: int = DEFAULT_SHARDS
+    ) -> bool:
+        """Fold a flat ``results.jsonl`` under ``root`` into shards, once,
+        under a lock; True when this call migrated it.
 
         Raw lines are distributed verbatim (the per-line format is
         identical), unparseable ones go to the root sidecar, and the flat
-        file is renamed ``results.jsonl.migrated`` so a second opener
-        sees nothing to do.
+        file is renamed ``results.jsonl.migrated`` so a second caller
+        sees nothing to do.  ``repro fleet compact`` is the one caller:
+        every other open of a flat store raises :class:`FlatStoreError`.
         """
-        legacy = self.root / LEGACY_RESULTS_FILE
+        root = Path(root)
+        legacy = root / LEGACY_RESULTS_FILE
         if not legacy.exists():
-            return
-        with self._lock(self.root / SHARD_DIR / ".migrate"):
+            return False
+        count = _prepare_layout(root, shards)
+        with cls._lock(root / SHARD_DIR / ".migrate"):
             if not legacy.exists():  # another process won the race
-                return
+                return False
             buckets: dict[Path, list[str]] = {}
             bad: list[str] = []
-            for line in self._lines(legacy):
+            for line in cls._lines(legacy):
                 try:
                     key = json.loads(line)["key"]
                 except (json.JSONDecodeError, KeyError, TypeError):
                     bad.append(line)
                     continue
-                buckets.setdefault(self._file_for(key), []).append(line)
+                buckets.setdefault(_shard_file(root, key, count), []).append(line)
             for path, lines in buckets.items():
-                self._write_lines(path, lines, "a")
+                cls._write_lines(path, lines, "a")
             if bad:
-                self._write_lines(
+                cls._write_lines(
                     legacy.with_name(legacy.name + CORRUPT_SUFFIX), bad, "a"
                 )
-            self._dirsync(self.root / SHARD_DIR)
+            cls._dirsync(root / SHARD_DIR)
             legacy.replace(legacy.with_name(legacy.name + ".migrated"))
-            self._dirsync(self.root)
+            cls._dirsync(root)
+        return True
 
     # --------------------------------------------------------------- read
 

@@ -29,7 +29,9 @@ Experiments:
   ``status`` prints the structured liveness snapshot (tasks, leases,
   worker heartbeats, stalls) and creates nothing unless asked to
   ``--stop`` or ``--clear-stop``; ``compact`` folds each result shard to one
-  line per key, crash-safely
+  line per key, crash-safely, and is the one command that migrates a flat
+  pre-shard ``results.jsonl`` into shards (any other command refuses such
+  a store with exit status 2 and leaves it untouched)
 
 ``--scale quick`` (default) runs a reduced configuration; ``--scale full``
 uses the paper's 50 nodes / 400 s / 8 loads.
@@ -55,7 +57,7 @@ from repro.analysis.plotting import ascii_chart
 from repro.analysis.report import paper_vs_measured
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import Campaign
-from repro.campaign.store import ResultStore
+from repro.campaign.store import FlatStoreError, ResultStore
 from repro.config import ScenarioConfig
 from repro.experiments.figure8 import (
     FIGURE8_LOADS_KBPS,
@@ -261,7 +263,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     fc = fsub.add_parser(
         "compact",
         help="fold each result shard to one line per key (crash-safe; "
-             "concurrent readers and writers are unaffected)",
+             "concurrent readers and writers are unaffected); a flat "
+             "pre-shard results.jsonl is first migrated into shards",
     )
     fc.add_argument("store", help="fleet store directory")
 
@@ -768,6 +771,8 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
 
 
 def _run_fleet_compact(args: argparse.Namespace) -> int:
+    if ResultStore.migrate_legacy(args.store):
+        print(f"migrated the flat results.jsonl of {args.store} into shards")
     stats = ResultStore(args.store).compact()
     print(
         f"compacted {stats.shards} shard(s): {stats.lines_before} -> "
@@ -792,6 +797,14 @@ def _run_fleet(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = _parse_args(argv)
+    try:
+        return _dispatch(args)
+    except FlatStoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "figure8":
         return _run_figure(args, delay=False)
     if args.experiment == "figure9":

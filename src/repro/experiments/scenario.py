@@ -162,6 +162,16 @@ class BuiltNetwork:
         ``measure_from`` defaults to the traffic start time so warm-up does
         not dilute throughput (the denominator is the measured window).
         """
+        start = self.cfg.traffic.start_time_s if measure_from is None else measure_from
+        window = self.cfg.duration_s - start
+        if window <= 0:
+            # Checked before simulating: the throughput denominator would
+            # be empty only after the whole horizon had been paid for.
+            raise ValueError(
+                f"empty measurement window: duration_s={self.cfg.duration_s!r} "
+                f"ends at or before the measurement start {start!r} "
+                "(traffic.start_time_s unless measure_from is given)"
+            )
         t0 = time.perf_counter()
         self.sim.run_until(self.cfg.duration_s)
         wall = time.perf_counter() - t0
@@ -174,8 +184,6 @@ class BuiltNetwork:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        start = self.cfg.traffic.start_time_s if measure_from is None else measure_from
-        window = self.cfg.duration_s - start
         mac_totals: dict[str, float] = {}
         for node in self.nodes:
             for key, val in node.mac.stats.as_dict().items():

@@ -1,7 +1,8 @@
 """The fleet's names for the sharded result store.
 
 The store itself — per-shard writer locks, one line per result,
-crash-safe compaction, one-time adoption of a flat ``results.jsonl`` —
+crash-safe compaction, adoption of a flat ``results.jsonl`` through
+``repro fleet compact`` —
 is :class:`repro.campaign.store.ResultStore`, the only store layout.  A
 campaign process and a fleet of workers open the same directory with the
 same class.

@@ -20,7 +20,14 @@ spec is hashable, picklable, and round-trips through JSON without loss::
 
 ``key()`` is a stable content hash (independent of process, machine and
 ``PYTHONHASHSEED``) — the campaign result store addresses cached results by
-*what* ran, not by the Python call-site that ran it.
+*what* ran, not by the Python call-site that ran it.  It is the SHA-256 of
+:meth:`ScenarioSpec.canonical` as sorted, compact JSON.  ``canonical()`` and
+``to_dict()`` come from one walk over the frozen value types
+(:func:`_jsonable`): dataclass fields in sorted order, tuples as lists,
+and — for the hash pre-image only — every int as a float when that float
+is exact, so ``300000`` and ``300000.0`` address the same cell while
+``2**53 + 1`` does not collide with ``2**53``.  A resubmitted campaign
+hashes every cell again, so this walk is the cached path's main cost.
 
 Component names are resolved against :mod:`repro.registry` at *build* time;
 a spec mentioning an unregistered component is still constructible and
@@ -30,6 +37,7 @@ hashable (it describes a scenario this process merely cannot build).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import typing
@@ -72,33 +80,51 @@ def _freeze(value: Any) -> Any:
     return value
 
 
-def _jsonable(value: Any) -> Any:
-    """Recursively convert tuples to lists (JSON-ready spec values)."""
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
-    return value
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """A dataclass type's field names, sorted (None for other types);
+    read once per type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
 
 
-def _normalize_numbers(value: Any) -> Any:
-    """Render every non-bool number as float (hash pre-image only).
+def _exact_float(value: int) -> float | int:
+    """``value`` as a float when that float is exact, else the int itself.
 
-    JSON spells ``300000`` and ``300000.0`` differently, so without this a
-    hand-written int in ``spec.json`` would content-hash away from the
-    float-typed spec a Campaign generates for the *same* scenario.  The
-    normalisation is applied to :meth:`ScenarioSpec.canonical` — never to
-    :meth:`ScenarioSpec.to_dict` output, which must round-trip exact types.
+    Every int a scenario plausibly holds is float-exact, so ``300000`` and
+    ``300000.0`` hash alike; a larger int (a seed of ``2**53 + 1``, say)
+    keeps its own key instead of colliding with its float neighbour.
     """
-    if isinstance(value, bool):
+    try:
+        as_float = float(value)
+    except OverflowError:
+        return value
+    return as_float if as_float == value else value
+
+
+def _jsonable(value: Any, floats: bool = False) -> Any:
+    """Walk frozen spec values into JSON-ready ones, in one pass.
+
+    Dataclasses become dicts with sorted keys, tuples and lists become
+    lists, dict items are sorted (keys as strings).  With ``floats`` (the
+    content-hash pre-image only, see :meth:`ScenarioSpec.canonical`) every
+    non-bool int is rendered by :func:`_exact_float`; without it exact
+    numeric types are kept, so :meth:`ScenarioSpec.to_dict` round-trips.
+    """
+    cls = type(value)
+    if cls is float or cls is str or cls is bool or value is None:
         return value
     if isinstance(value, int):
-        return float(value)
-    if isinstance(value, list):
-        return [_normalize_numbers(v) for v in value]
+        return _exact_float(value) if floats else value
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v, floats) for v in value]
     if isinstance(value, dict):
-        return {k: _normalize_numbers(v) for k, v in value.items()}
-    return value
+        return {str(k): _jsonable(v, floats) for k, v in sorted(value.items())}
+    names = _field_names(cls)
+    if names is None:
+        return value
+    return {name: _jsonable(getattr(value, name), floats) for name in names}
 
 
 @dataclass(frozen=True, init=False)
@@ -134,7 +160,14 @@ class ComponentSpec:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-able form: ``{"name": ..., "params": {...}}``."""
-        return {"name": self.name, "params": _jsonable(self.params_dict)}
+        return self._as_dict(floats=False)
+
+    def _as_dict(self, *, floats: bool) -> dict[str, Any]:
+        # ``params`` is sorted by name already.
+        return {
+            "name": self.name,
+            "params": {k: _jsonable(v, floats) for k, v in self.params},
+        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any] | str) -> "ComponentSpec":
@@ -169,7 +202,7 @@ class ComponentSpec:
 
 def config_to_dict(cfg: Any) -> dict[str, Any]:
     """Serialise a (nested) frozen config dataclass to a JSON-able dict."""
-    return _jsonable(dataclasses.asdict(cfg))
+    return _jsonable(cfg)
 
 
 def config_from_dict(cls: type, data: Mapping[str, Any]) -> Any:
@@ -202,6 +235,15 @@ def config_from_dict(cls: type, data: Mapping[str, Any]) -> Any:
 # ---------------------------------------------------------------------------
 # ScenarioSpec
 # ---------------------------------------------------------------------------
+
+
+def _node(endpoint: Any) -> int:
+    """A flow endpoint as a node index; an integral float (``3.0`` from
+    hand-written JSON) is accepted, a fractional one is an error."""
+    node = int(endpoint)
+    if node != endpoint:
+        raise ValueError(f"flow_pairs endpoints must be integers, got {endpoint!r}")
+    return node
 
 
 def _component(default: str):
@@ -241,7 +283,7 @@ class ScenarioSpec:
             object.__setattr__(
                 self,
                 "flow_pairs",
-                tuple((int(s), int(d)) for s, d in self.flow_pairs),
+                tuple((_node(s), _node(d)) for s, d in self.flow_pairs),
             )
 
     # ------------------------------------------------------------- identity
@@ -253,21 +295,14 @@ class ScenarioSpec:
     def canonical(self) -> dict[str, Any]:
         """Canonical JSON-able description (the content-hash pre-image).
 
-        Numbers are normalised to floats here (and only here) so the same
-        scenario hashes identically however its numerics were spelled —
-        see :func:`_normalize_numbers`.
+        Numbers are rendered as floats here (and only here) so the same
+        scenario hashes identically however its numerics were spelled:
+        JSON spells ``300000`` and ``300000.0`` differently, and a
+        hand-written int in ``spec.json`` must address the same cached cell
+        as the float-typed spec a Campaign generates.  An int with no exact
+        float stays an int (see :func:`_exact_float`).
         """
-        return _normalize_numbers(
-            {
-                "schema": SCENARIO_SCHEMA_VERSION,
-                "cfg": config_to_dict(self.cfg),
-                "components": {
-                    slot: spec.to_dict()
-                    for slot, spec in self.components().items()
-                },
-                "flow_pairs": _jsonable(self.flow_pairs),
-            }
-        )
+        return self._as_dict(floats=True)
 
     def key(self) -> str:
         """Stable content hash identifying this scenario across processes."""
@@ -289,13 +324,17 @@ class ScenarioSpec:
     def to_dict(self) -> dict[str, Any]:
         """Full JSON-able form (same shape as :meth:`canonical`, but with
         exact numeric types preserved for lossless round-tripping)."""
+        return self._as_dict(floats=False)
+
+    def _as_dict(self, *, floats: bool) -> dict[str, Any]:
         return {
-            "schema": SCENARIO_SCHEMA_VERSION,
-            "cfg": config_to_dict(self.cfg),
+            "schema": _jsonable(SCENARIO_SCHEMA_VERSION, floats),
+            "cfg": _jsonable(self.cfg, floats),
             "components": {
-                slot: spec.to_dict() for slot, spec in self.components().items()
+                slot: getattr(self, slot)._as_dict(floats=floats)
+                for slot in COMPONENT_SLOTS
             },
-            "flow_pairs": _jsonable(self.flow_pairs),
+            "flow_pairs": _jsonable(self.flow_pairs, floats),
         }
 
     @classmethod
@@ -329,10 +368,7 @@ class ScenarioSpec:
         }
         if data.get("cfg") is not None:
             kwargs["cfg"] = config_from_dict(ScenarioConfig, data["cfg"])
-        pairs = data.get("flow_pairs")
-        if pairs is not None:
-            kwargs["flow_pairs"] = tuple((int(s), int(d)) for s, d in pairs)
-        return cls(**kwargs)
+        return cls(flow_pairs=data.get("flow_pairs"), **kwargs)
 
     def to_json(self, *, indent: int | None = None) -> str:
         """Serialise to JSON text."""
@@ -398,11 +434,7 @@ class ScenarioSpec:
             routing=ComponentSpec(routing),
             traffic=ComponentSpec("cbr"),
             propagation=_propagation_component(propagation),
-            flow_pairs=(
-                tuple((int(s), int(d)) for s, d in flow_pairs)
-                if flow_pairs is not None
-                else None
-            ),
+            flow_pairs=flow_pairs,
         )
 
 

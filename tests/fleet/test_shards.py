@@ -11,7 +11,12 @@ import pytest
 
 from repro.analysis.export import load_store_results
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import CORRUPT_SUFFIX, ResultStore, result_to_dict
+from repro.campaign.store import (
+    CORRUPT_SUFFIX,
+    FlatStoreError,
+    ResultStore,
+    result_to_dict,
+)
 from repro.config import ScenarioConfig, TrafficConfig
 from repro.fleet.shards import (
     DEFAULT_SHARDS,
@@ -176,12 +181,25 @@ class TestCompaction:
         assert sorted(reader.keys()) == sorted(keys)
 
 
+def tree_bytes(root) -> dict[str, bytes]:
+    """Every file under ``root`` with its bytes (directories as None)."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+        for p in sorted(root.rglob("*"))
+    }
+
+
 class TestLegacyMigration:
+    """A flat pre-shard store migrates only through ``migrate_legacy``
+    (``repro fleet compact``); any other open refuses it untouched."""
+
     def test_flat_store_migrates_into_shards(self, tmp_path):
         cells = [run_cell(seed) for seed in (1, 2, 3)]
         write_flat_store(tmp_path / "store", cells)
         expected = {spec.key(): result for spec, result in cells}
-        sharded = ShardedResultStore(tmp_path / "store", shards=4)
+        assert ShardedResultStore.migrate_legacy(tmp_path / "store", shards=4)
+        sharded = ShardedResultStore(tmp_path / "store")
+        assert sharded.shards == 4
         assert {k: sharded.get(k) for k in expected} == expected
         assert not (tmp_path / "store" / "results.jsonl").exists()
         assert (tmp_path / "store" / "results.jsonl.migrated").exists()
@@ -189,16 +207,27 @@ class TestLegacyMigration:
     def test_migration_happens_once(self, tmp_path):
         spec, result = run_cell()
         write_flat_store(tmp_path / "store", [(spec, result)])
-        ShardedResultStore(tmp_path / "store", shards=4)
+        assert ShardedResultStore.migrate_legacy(tmp_path / "store", shards=4)
+        assert not ShardedResultStore.migrate_legacy(tmp_path / "store")
         again = ShardedResultStore(tmp_path / "store")
         assert again.get(spec.key()) == result
         assert len(shard_lines(again)) == 1
+
+    def test_open_refuses_a_flat_store_and_writes_nothing(self, tmp_path):
+        spec, result = run_cell()
+        root = tmp_path / "store"
+        write_flat_store(root, [(spec, result)])
+        before = tree_bytes(root)
+        with pytest.raises(FlatStoreError, match="repro fleet compact"):
+            ResultStore(root, shards=4)
+        assert tree_bytes(root) == before
+        assert ResultStore.exists(root)
 
     def test_failed_meta_rewrite_keeps_the_old_meta(self, tmp_path, monkeypatch):
         """A crash while the format-1 meta is being replaced (here: its
         fsync fails after the new file was opened and written) leaves the
         previous ``meta.json`` byte-identical and the flat file unmigrated;
-        the next open completes the upgrade."""
+        the next migration completes the upgrade."""
         spec, result = run_cell()
         root = tmp_path / "store"
         write_flat_store(root, [(spec, result)])
@@ -210,11 +239,12 @@ class TestLegacyMigration:
         with monkeypatch.context() as patch:
             patch.setattr(os, "fsync", failing_fsync)
             with pytest.raises(OSError, match="simulated crash"):
-                ResultStore(root, shards=4)
+                ResultStore.migrate_legacy(root, shards=4)
         assert (root / "meta.json").read_bytes() == before
         assert (root / "results.jsonl").exists()
 
-        store = ResultStore(root, shards=4)
+        assert ResultStore.migrate_legacy(root, shards=4)
+        store = ResultStore(root)
         assert store.get(spec.key()) == result
         assert json.loads((root / "meta.json").read_text())["shards"] == 4
 

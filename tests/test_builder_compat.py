@@ -177,6 +177,28 @@ class TestBuilderValidation:
         with pytest.raises(ValueError, match="out of range"):
             spec.build()
 
+    def test_fractional_flow_pair_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="0.7"):
+            ScenarioSpec(cfg=small_cfg(), flow_pairs=((0.7, 3.2),))
+        with pytest.raises(ValueError, match="3.5"):
+            ScenarioSpec.from_dict({"flow_pairs": [[0, 3.5]]})
+
+    def test_integral_float_flow_pair_endpoints_load(self):
+        spec = ScenarioSpec.from_dict({"flow_pairs": [[0.0, 3.0]]})
+        assert spec.flow_pairs == ((0, 3),)
+        assert all(type(n) is int for pair in spec.flow_pairs for n in pair)
+
+    def test_empty_measurement_window_raises_before_simulating(self):
+        """A horizon at or before the traffic start measures nothing: the
+        run refuses it without dispatching a single event."""
+        cfg = replace(small_cfg(), duration_s=1.0)  # traffic starts at 1 s
+        net = ScenarioSpec(cfg=cfg).build()
+        with pytest.raises(ValueError, match="measurement window"):
+            net.run()
+        assert net.sim.events_executed == 0
+        with pytest.raises(ValueError, match="measurement window"):
+            ScenarioSpec(cfg=small_cfg()).build().run(measure_from=6.0)
+
     def test_wrong_position_count(self):
         spec = ScenarioSpec(
             cfg=small_cfg(),

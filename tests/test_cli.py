@@ -324,6 +324,33 @@ class TestFleetCli:
         assert "no result store" in capsys.readouterr().err
         assert not missing.exists()
 
+    def test_flat_store_is_read_only_until_compacted(self, capsys, tmp_path):
+        """`fleet status` refuses a flat pre-shard store with exit 2 and
+        leaves it byte-identical; `fleet compact` migrates it, after which
+        status reads every result."""
+        sharded = tmp_path / "sharded"
+        assert main(["campaign", *self.GRID, "--store", str(sharded)]) == 0
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        lines = [p.read_text() for p in sorted(sharded.glob("shards/*.jsonl"))]
+        (flat / "results.jsonl").write_text("".join(lines))
+        capsys.readouterr()
+
+        def tree():
+            return {str(p.relative_to(flat)): p.read_bytes()
+                    for p in sorted(flat.rglob("*"))}
+
+        before = tree()
+        assert main(["fleet", "status", str(flat)]) == 2
+        assert f"repro fleet compact {flat}" in capsys.readouterr().err
+        assert tree() == before
+
+        assert main(["fleet", "compact", str(flat)]) == 0
+        assert "migrated" in capsys.readouterr().out
+        assert (flat / "results.jsonl.migrated").exists()
+        assert main(["fleet", "status", str(flat)]) == 0
+        assert "1 result(s)" in capsys.readouterr().out
+
     def test_campaign_store_compacts_then_resumes_cached(self, capsys, tmp_path):
         """`repro campaign --store` and `repro fleet` share one layout: the
         campaign's store compacts, and a rerun is all cache hits."""

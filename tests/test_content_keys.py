@@ -6,16 +6,40 @@ was generated once and is compared literally; it covers every component
 slot with params, nested tuples (``explicit`` positions, ``scripted``
 fault rows), ``flow_pairs``, int-spelled numerics and the benchmark's
 paper-static cell.
+
+A property test then compares :meth:`ScenarioSpec.canonical` and
+:meth:`ScenarioSpec.to_dict` byte for byte with the original
+``dataclasses.asdict`` pipeline, kept verbatim below as the oracle.  The
+one intended difference is pinned separately: an int with no exact float
+(``2**53 + 1``) keeps its own key instead of colliding with a neighbour.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.config import MobilityConfig, ScenarioConfig
-from repro.scenariospec import ComponentSpec, ScenarioSpec
+from repro.config import (
+    MacConfig,
+    MobilityConfig,
+    PhyConfig,
+    ScenarioConfig,
+    TrafficConfig,
+)
+from repro.registry import SLOTS
+from repro.scenariospec import (
+    SCENARIO_SCHEMA_VERSION,
+    ComponentSpec,
+    ScenarioSpec,
+    config_to_dict,
+)
 
 
 def _paper_static() -> ScenarioSpec:
@@ -197,3 +221,168 @@ def test_int_spelling_keys_like_float_spelling():
         }
     )
     assert as_float.key() == KEYS["int-spelled"]
+
+
+# ---------------------------------------------------------------------------
+# Large ints
+# ---------------------------------------------------------------------------
+
+
+def _seeded(seed) -> ScenarioSpec:
+    return ScenarioSpec(cfg=ScenarioConfig(seed=seed))
+
+
+def test_ints_past_float_precision_key_apart():
+    """Seeds 2**53 and 2**53 + 1 are different runs and need two keys."""
+    assert _seeded(2**53).key() != _seeded(2**53 + 1).key()
+    assert _seeded(2**53 + 1).canonical()["cfg"]["seed"] == 2**53 + 1
+
+
+def test_int_too_large_for_a_float_keys():
+    assert _seeded(10**400).key() != _seeded(10**400 + 1).key()
+
+
+def test_float_exact_large_int_keeps_its_float_key():
+    assert _seeded(2**60).key() == _seeded(float(2**60)).key()
+    assert _seeded(-(2**53)).key() == _seeded(-float(2**53)).key()
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the original serialisation, verbatim
+# ---------------------------------------------------------------------------
+
+
+def _jsonable(value):
+    """Recursively convert tuples to lists (JSON-ready spec values)."""
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
+    return value
+
+
+def _normalize_numbers(value):
+    """Render every non-bool number as float (hash pre-image only)."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, list):
+        return [_normalize_numbers(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _normalize_numbers(v) for k, v in value.items()}
+    return value
+
+
+def oracle_config_to_dict(cfg):
+    return _jsonable(dataclasses.asdict(cfg))
+
+
+def oracle_component_to_dict(spec):
+    return {"name": spec.name, "params": _jsonable(spec.params_dict)}
+
+
+def oracle_to_dict(spec):
+    return {
+        "schema": SCENARIO_SCHEMA_VERSION,
+        "cfg": oracle_config_to_dict(spec.cfg),
+        "components": {
+            slot: oracle_component_to_dict(c)
+            for slot, c in spec.components().items()
+        },
+        "flow_pairs": _jsonable(spec.flow_pairs),
+    }
+
+
+def oracle_canonical(spec):
+    return _normalize_numbers(oracle_to_dict(spec))
+
+
+def canonical_bytes(data) -> bytes:
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
+# ---------------------------------------------------------------------------
+# Specs for the property test
+# ---------------------------------------------------------------------------
+
+#: Ints whose float is exact: the range the oracle keys correctly.
+exact_ints = st.integers(-(2**53), 2**53) | st.integers(0, 2**20).map(
+    lambda k: k << 60
+)
+any_floats = st.floats(allow_nan=True, allow_infinity=True)
+numbers = exact_ints | any_floats
+positive = st.integers(1, 10**6) | st.floats(1e-3, 1e6)
+scalars = st.none() | st.booleans() | numbers | st.text(max_size=6)
+param_values = st.recursive(
+    scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=12
+)
+components = st.builds(
+    ComponentSpec.of,
+    st.sampled_from(["basic", "pcmac", "line", "explicit", "scripted", "x"]),
+    st.dictionaries(
+        st.text("abcdefgh_", min_size=1, max_size=8), param_values, max_size=4
+    ),
+)
+
+
+@st.composite
+def configs(draw) -> ScenarioConfig:
+    levels = sorted(draw(st.lists(positive, min_size=1, max_size=4)))
+    return ScenarioConfig(
+        node_count=draw(st.integers(2, 2000)),
+        duration_s=draw(positive),
+        seed=draw(exact_ints),
+        phy=PhyConfig(
+            power_levels_w=tuple(levels),
+            noise_floor_w=draw(any_floats),
+            model_propagation_delay=draw(st.booleans()),
+        ),
+        mac=MacConfig(cw_min=draw(st.integers(1, 63)), cw_max=1023),
+        traffic=TrafficConfig(
+            flow_count=draw(st.integers(1, 20)),
+            offered_load_bps=draw(positive),
+            start_time_s=draw(any_floats),
+        ),
+        mobility=MobilityConfig(speed_mps=draw(st.integers(0, 20) | st.floats(0, 20))),
+    )
+
+
+@st.composite
+def specs(draw) -> ScenarioSpec:
+    slots = draw(st.fixed_dictionaries({}, optional={s: components for s in SLOTS}))
+    pairs = draw(
+        st.none()
+        | st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=4)
+    )
+    return ScenarioSpec(
+        cfg=draw(configs()),
+        flow_pairs=None if pairs is None else tuple(pairs),
+        **slots,
+    )
+
+
+@given(specs())
+def test_canonical_bytes_match_the_oracle(spec):
+    blob = canonical_bytes(oracle_canonical(spec))
+    assert canonical_bytes(spec.canonical()) == blob
+    assert spec.key() == hashlib.sha256(blob).hexdigest()[:32]
+
+
+@given(specs())
+def test_to_dict_matches_the_oracle(spec):
+    # Order-sensitive and type-exact: a stored ``scenario`` dict must not
+    # change by a byte.
+    assert json.dumps(spec.to_dict()) == json.dumps(oracle_to_dict(spec))
+    assert json.dumps(config_to_dict(spec.cfg)) == json.dumps(
+        oracle_config_to_dict(spec.cfg)
+    )
+
+
+def test_oracle_agrees_on_nan():
+    spec = ScenarioSpec(
+        cfg=ScenarioConfig(traffic=TrafficConfig(start_time_s=math.nan))
+    )
+    assert canonical_bytes(spec.canonical()) == canonical_bytes(
+        oracle_canonical(spec)
+    )
