@@ -57,7 +57,7 @@ from repro.analysis.plotting import ascii_chart
 from repro.analysis.report import paper_vs_measured
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import Campaign
-from repro.campaign.store import FlatStoreError, ResultStore
+from repro.campaign.store import ResultStore, reports_flat_store
 from repro.config import ScenarioConfig
 from repro.experiments.figure8 import (
     FIGURE8_LOADS_KBPS,
@@ -771,6 +771,10 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
 
 
 def _run_fleet_compact(args: argparse.Namespace) -> int:
+    if not ResultStore.exists(args.store):
+        # Like status: a mistyped path is an error, not a new empty store.
+        print(f"error: no result store at {args.store}", file=sys.stderr)
+        return 2
     if ResultStore.migrate_legacy(args.store):
         print(f"migrated the flat results.jsonl of {args.store} into shards")
     stats = ResultStore(args.store).compact()
@@ -794,14 +798,10 @@ def _run_fleet(args: argparse.Namespace) -> int:
     return 2  # pragma: no cover - argparse enforces choices
 
 
+@reports_flat_store
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
-    args = _parse_args(argv)
-    try:
-        return _dispatch(args)
-    except FlatStoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return _dispatch(_parse_args(argv))
 
 
 def _dispatch(args: argparse.Namespace) -> int:

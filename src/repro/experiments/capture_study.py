@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 from repro.analysis.stats import mean_confidence_interval
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, reports_flat_store
 from repro.config import MobilityConfig, ScenarioConfig
 from repro.scenariospec import ComponentSpec, ScenarioSpec
 
@@ -228,6 +228,7 @@ def run_capture_study(
     )
 
 
+@reports_flat_store
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI: run the comparison and write the JSON snapshot."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

@@ -39,7 +39,7 @@ from repro.analysis.stats import mean_confidence_interval
 from repro.builder import pick_flow_pairs
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, reports_flat_store
 from repro.config import ScenarioConfig
 from repro.scenariospec import ComponentSpec, ScenarioSpec
 from repro.sim.rng import RngRegistry
@@ -228,6 +228,7 @@ def run_chaos_resilience(
     )
 
 
+@reports_flat_store
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI: run the comparison and write the JSON snapshot."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

@@ -41,7 +41,7 @@ from scipy import stats as _scipy_stats
 from repro.analysis.stats import mean_confidence_interval
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, reports_flat_store
 from repro.config import ScenarioConfig
 from repro.metrics.summary import summarise_energy
 from repro.scenariospec import ComponentSpec, ScenarioSpec
@@ -211,6 +211,7 @@ def run_energy_savings(
     )
 
 
+@reports_flat_store
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI: run the comparison and write the JSON snapshot."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

@@ -86,6 +86,10 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   keeps one heap entry per batch and dispatches the edges in the same
   ``(time, priority, seq)`` order.  Edges are uncancellable, which suits
   physics: energy in flight always arrives (see :meth:`Channel.detach`).
+  Survivor lists are kept in delay order (each survivor carries its
+  attach-order seq offset), so a batch arrives as its leading edges in
+  time order followed by its trailing edges in time order, and the
+  kernel's sort finds it already sorted, bar exact time ties.
 
 All paths produce bit-identical event schedules (same times, powers and
 tie-breaking order — candidates are visited in attach order); the
@@ -104,6 +108,7 @@ notifications, sharing the propagation model.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from repro.phy.frame import PhyFrame
 from repro.phy.propagation import PropagationModel, distance
@@ -139,6 +144,9 @@ _NO_RECORD = (-math.inf, None, None)
 #: Event labels of a signal's leading and trailing edge (profiler buckets).
 _START = "phy.sig_start"
 _END = "phy.sig_end"
+
+#: Sort key of a survivor ``(rx, rx_power, delay, k)``: its delay.
+_DELAY = itemgetter(2)
 
 
 class _RadioEntry:
@@ -404,15 +412,17 @@ class Channel:
 
     def _static_survivors(
         self, entry: _RadioEntry, tx_power: float
-    ) -> list[tuple[Radio, float, float]]:
-        """An all-static world's ``[(rx, rx_power, delay)]``, attach order.
+    ) -> list[tuple[Radio, float, float, int]]:
+        """An all-static world's ``[(rx, rx_power, delay, k)]``, delay order.
 
-        Built once per ``(source, tx power)`` for static replay, which is
-        the only cache: every radio is pinned at its attach-time ``pos``,
-        so each candidate is resolved straight from it — no link record,
-        no motion bound.  A pair resolved again for another power level
-        yields the same distance and gain floats, so every power and delay
-        is the float :meth:`_fanout_brute` computes.
+        ``k`` is twice the survivor's attach-order index: its seq offset in
+        the edge batch (see :meth:`_fanout_indexed`).  Built once per
+        ``(source, tx power)`` for static replay, which is the only cache:
+        every radio is pinned at its attach-time ``pos``, so each candidate
+        is resolved straight from it — no link record, no motion bound.  A
+        pair resolved again for another power level yields the same
+        distance and gain floats, so every power and delay is the float
+        :meth:`_fanout_brute` computes.
         """
         src_pos = entry.pos
         size = self._cell_size
@@ -422,7 +432,7 @@ class Channel:
         floor = self.interference_floor_w
         gain_at = self.propagation.gain_at
         model_delay = self.model_propagation_delay
-        out: list[tuple[Radio, float, float]] = []
+        out: list[tuple[Radio, float, float, int]] = []
         append = out.append
         for cand in candidates:
             if cand is entry:
@@ -432,14 +442,22 @@ class Channel:
             if rx_power < floor:
                 continue
             append(
-                (cand.radio, rx_power, dist / SPEED_OF_LIGHT if model_delay else 0.0)
+                (
+                    cand.radio,
+                    rx_power,
+                    dist / SPEED_OF_LIGHT if model_delay else 0.0,
+                    2 * len(out),
+                )
             )
+        out.sort(key=_DELAY)
         return out
 
     def _survivors(
         self, src: Radio, entry: _RadioEntry | None, tx_power: float, now: float
-    ) -> list[tuple[Radio, float, float]]:
-        """Radios above the floor as ``[(rx, rx_power, delay)]``, attach order.
+    ) -> list[tuple[Radio, float, float, int]]:
+        """Radios above the floor as ``[(rx, rx_power, delay, k)]``, delay order.
+
+        ``k`` is the seq offset, as in :meth:`_static_survivors`.
 
         The resolve loop of a moving world's indexed fan-out (and of an
         unattached transmitter's).  The candidate block is a superset of
@@ -483,7 +501,7 @@ class Channel:
         gain_at = self.propagation.gain_at
         model_delay = self.model_propagation_delay
         get = links.get
-        out: list[tuple[Radio, float, float]] = []
+        out: list[tuple[Radio, float, float, int]] = []
         append = out.append
         for cand in candidates:
             seq = cand.seq
@@ -506,8 +524,14 @@ class Channel:
             if rx_power < floor:
                 continue
             append(
-                (cand.radio, rx_power, dist / SPEED_OF_LIGHT if model_delay else 0.0)
+                (
+                    cand.radio,
+                    rx_power,
+                    dist / SPEED_OF_LIGHT if model_delay else 0.0,
+                    2 * len(out),
+                )
             )
+        out.sort(key=_DELAY)
         return out
 
     # ------------------------------------------------------------------ TX
@@ -576,13 +600,15 @@ class Channel:
     def _fanout_indexed(self, src: Radio, frame: PhyFrame) -> None:
         """Grid-indexed fan-out: a survivor list, then one edge batch.
 
-        Produces the exact event schedule of :meth:`_fanout_brute`: the
-        survivors come in attach order and take the seqs the brute scan's
-        ``schedule`` calls would (receiver *i*: start ``base + 2i``, end
+        Produces the exact event schedule of :meth:`_fanout_brute`: each
+        survivor takes the seqs the brute scan's ``schedule`` calls would
+        (receiver *i* in attach order: start ``base + 2i``, end
         ``base + 2i + 1``), so same-time ties break identically.  In an
         all-static world a ``(source, tx power)`` survivor list can never
         change, so :meth:`_static_survivors` builds it once and it is
         replayed; a moving world runs :meth:`_survivors` per transmit.
+        Survivors come in delay order, so the batch is passed as its
+        leading edges then its trailing edges, each run in time order.
         """
         sim = self.sim
         now = sim.now
@@ -603,15 +629,18 @@ class Channel:
             hits = self._survivors(src, entry, tx_power, now)
         duration = frame.duration_s
         end_args = (frame.frame_id,)
-        seq = sim.next_seq
-        edges: list[tuple] = []
-        append = edges.append
-        for rx, rx_power, delay in hits:
+        base = sim.next_seq
+        starts: list[tuple] = []
+        ends: list[tuple] = []
+        start_edge = starts.append
+        end_edge = ends.append
+        for rx, rx_power, delay, k in hits:
             t = now + delay
-            append((t, 1, seq, rx.signal_start, (frame, rx_power), _START))
-            append((t + duration, 0, seq + 1, rx.signal_end, end_args, _END))
-            seq += 2
-        sim.schedule_edges(edges)
+            seq = base + k
+            start_edge((t, 1, seq, rx.signal_start, (frame, rx_power), _START))
+            end_edge((t + duration, 0, seq + 1, rx.signal_end, end_args, _END))
+        starts += ends
+        sim.schedule_edges(starts)
 
     # --------------------------------------------------------------- queries
 

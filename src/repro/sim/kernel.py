@@ -21,7 +21,8 @@ cost: the channel hands over all edges of one transmit as one
 :class:`~repro.sim.event.EdgeBatch`, which holds a single heap entry keyed
 by its next edge.  The fused loop keeps firing a popped batch's edges while
 the next one still sorts before the heap head, so most edges cost no
-:class:`~repro.sim.event.Event` and no heap operation.
+:class:`~repro.sim.event.Event` and no heap operation, and it counts a
+run's edges in ``events_executed`` / ``pending_events`` when the run ends.
 
 The pre-fusion loop survives as ``Simulator(fused=False)`` — the reference
 kernel.  Both dispatch the exact same event sequence (same ``(time,
@@ -114,6 +115,7 @@ class Simulator:
         "_stopped",
         "_fused",
         "_profile",
+        "_batch_run",
     )
 
     def __init__(self, *, fused: bool = True) -> None:
@@ -124,6 +126,9 @@ class Simulator:
         self._events_executed = 0
         self._fused = fused
         self._profile: dict[str, list] | None = None
+        #: ``(batch, first)`` while the fused loop fires a run of ``batch``'s
+        #: edges from index ``first``; it counts them when the run ends.
+        self._batch_run: tuple[EdgeBatch, int] | None = None
 
     # -- clock ---------------------------------------------------------------
 
@@ -135,12 +140,19 @@ class Simulator:
     @property
     def events_executed(self) -> int:
         """Total number of events dispatched so far (for perf accounting)."""
-        return self._events_executed
+        return self._events_executed + self._fired_in_run()
 
     @property
     def pending_events(self) -> int:
         """Number of live events still scheduled (each unfired edge counts)."""
-        return len(self._queue)
+        return len(self._queue) - self._fired_in_run()
+
+    def _fired_in_run(self) -> int:
+        """Edges of the fused loop's current batch run fired so far, the
+        one being dispatched included: the counters take them when the run
+        ends."""
+        run = self._batch_run
+        return 0 if run is None else run[0].pos - run[1]
 
     @property
     def fused(self) -> bool:
@@ -231,29 +243,33 @@ class Simulator:
     def schedule_edges(self, edges: list[tuple]) -> None:
         """Schedule an uncancellable batch of edges under one heap entry.
 
-        ``edges`` are ``(time, priority, seq, fn, args, label)`` tuples in
-        the order the caller would otherwise pass them to :meth:`schedule`
-        one by one, numbered ``next_seq``, ``next_seq + 1``, ... in that
-        order.  Each edge so keeps the key that call would give it, and
-        dispatch is identical: same order, ``now`` set to each edge's time,
-        one ``events_executed`` and one ``pending_events`` per edge, and the
+        ``edges`` are ``(time, priority, seq, fn, args, label)`` tuples
+        numbered with the seqs the caller's one-by-one :meth:`schedule`
+        calls would take: ``next_seq``, ``next_seq + 1``, ... in call
+        order.  They may be passed in any order; the list is sorted here,
+        and a caller that passes it nearly sorted saves most of the sort.
+        Each edge so keeps the key that call would give it, and dispatch is
+        identical: same order, ``now`` set to each edge's time, one
+        ``events_executed`` and one ``pending_events`` per edge, and the
         profiler attributes each edge to its ``label``.  No
         :class:`~repro.sim.event.Event` exists for an edge, so an edge
         cannot be cancelled: batch only edges that must always fire.
 
         ``args`` must be a tuple.  Times must be finite and ``>= now``; the
-        earliest is checked.  The list is sorted in place and belongs to
-        the kernel from then on.
+        earliest is checked, as are the seqs of the first and last edge
+        passed.  The list is sorted in place and belongs to the kernel from
+        then on.
         """
         n = len(edges)
         if not n:
             return
         q = self._queue
         seq = q._seq
-        if edges[0][2] != seq or edges[-1][2] != seq + n - 1:
+        last = seq + n
+        if not (seq <= edges[0][2] < last and seq <= edges[-1][2] < last):
             raise SimulationError(
-                f"edge seqs {edges[0][2]}..{edges[-1][2]} must run from "
-                f"next_seq {seq} to {seq + n - 1}"
+                f"edge seqs {edges[0][2]}..{edges[-1][2]} must lie in "
+                f"next_seq {seq} to {last - 1}"
             )
         edges.sort()
         first = edges[0]
@@ -324,7 +340,11 @@ class Simulator:
         A popped edge batch keeps firing edges while the next one sorts
         before the heap head (a plain tuple compare: seqs are unique), lies
         within ``end_time`` and no ``stop()`` came; then it is re-queued
-        under that edge's key.
+        under that edge's key.  The edges of such a run are counted in
+        ``events_executed`` and out of ``pending_events`` once, when the
+        run ends: two integer updates per run instead of per edge, each of
+        which allocated a new int.  A read of either from a handler
+        meanwhile adds the run's progress (``batch.pos`` is kept current).
         """
         queue = self._queue
         heap = queue._heap
@@ -341,15 +361,15 @@ class Simulator:
                     break
                 heappop(heap)
                 edges = ev.edges
-                i = ev.pos
+                i = first = ev.pos
                 n = len(edges)
+                self._batch_run = (ev, first)
                 try:
                     while True:
                         edge = edges[i]
                         i += 1
-                        queue._live -= 1
+                        ev.pos = i
                         self._now = edge[0]
-                        self._events_executed += 1
                         edge[3](*edge[4])
                         if i == n:
                             break
@@ -359,17 +379,19 @@ class Simulator:
                             or nxt[0] > end_time
                             or (heap and heap[0] < nxt)
                         ):
-                            ev.pos = i
                             heappush(heap, (nxt[0], nxt[1], nxt[2], ev))
                             break
                 except BaseException:
                     # A handler raised: the unfired edges stay queued, as
                     # per-edge events would.
                     if i < n:
-                        ev.pos = i
                         nxt = edges[i]
                         heappush(heap, (nxt[0], nxt[1], nxt[2], ev))
                     raise
+                finally:
+                    self._batch_run = None
+                    queue._live -= i - first
+                    self._events_executed += i - first
                 if self._stopped:
                     break
                 continue

@@ -188,6 +188,37 @@ class TestEdgeBatches:
         assert sim.step() and fired == [0, 1]
         assert not sim.step()
 
+    def test_edges_may_come_in_any_order(self, sim):
+        """Leading edges then trailing ones, as the channel passes them."""
+        fired = []
+        seq = sim.next_seq
+        sim.schedule_edges([
+            (1.0, 1, seq, fired.append, ("s0",), "edge"),
+            (1.5, 1, seq + 2, fired.append, ("s1",), "edge"),
+            (2.0, 0, seq + 1, fired.append, ("e0",), "edge"),
+            (2.5, 0, seq + 3, fired.append, ("e1",), "edge"),
+        ])
+        sim.run_until(5.0)
+        assert fired == ["s0", "s1", "e0", "e1"]
+        assert sim.events_executed == 4 and sim.next_seq == 4
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
+    def test_handlers_read_per_edge_counters(self, fused):
+        """Inside a batch run each edge already counts as executed and no
+        longer as pending, like an event of its own."""
+        sim = Simulator(fused=fused)
+        seen = []
+
+        def edge(k):
+            seen.append((k, sim.events_executed, sim.pending_events))
+
+        sim.schedule(0.5, lambda: None)
+        sim.schedule_edges(_edges(sim, [(1.0, 0), (1.0, 1), (2.0, 0)], edge))
+        sim.schedule(3.0, lambda: seen.append(("ev", sim.events_executed,
+                                               sim.pending_events)))
+        sim.run_until(5.0)
+        assert seen == [(0, 2, 3), (1, 3, 2), (2, 4, 1), ("ev", 5, 0)]
+
     def test_empty_batch_is_a_no_op(self, sim):
         sim.schedule_edges([])
         assert sim.pending_events == 0 and sim.next_seq == 0

@@ -183,6 +183,9 @@ class _BatchScript:
         self.plan = plan  # item id -> actions run when that item fires
         self.batched = batched
         self.fired: list[tuple[float, int]] = []
+        #: ``(events_executed, pending_events)`` as each item's handler
+        #: reads them (the fused loop counts a batch run's edges late).
+        self.counters: list[tuple[int, int]] = []
         self.edge_ids: set[int] = set()
         self.events: list = []  # the cancellable ones, in creation order
         self.ids = 0
@@ -225,6 +228,7 @@ class _BatchScript:
 
     def fire(self, ident: int):
         self.fired.append((self.sim.now, ident))
+        self.counters.append((self.sim.events_executed, self.sim.pending_events))
         self.act(self.plan.get(ident, ()))
 
 
@@ -254,7 +258,10 @@ def _drive(mode: str, root, plan, horizons):
         assert sum(calls.values()) == sim.events_executed
         edges = sum(1 for _, ident in script.fired if ident in script.edge_ids)
         assert calls.get("edge", 0) == edges
-    return script.fired, sim.events_executed, sim.now, sim.pending_events
+    return (
+        script.fired, script.counters, sim.events_executed, sim.now,
+        sim.pending_events,
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -274,7 +281,8 @@ def _drive(mode: str, root, plan, horizons):
 def test_edge_batches_dispatch_like_individual_events(root, plan, horizons):
     """Fused, reference, profiled and step() runs of a script with edge
     batches fire what the same items fire as individual schedule() calls:
-    same sequence, events_executed, now and pending_events."""
+    same sequence, events_executed, now and pending_events, also as read
+    by every handler."""
     want = _drive("unbatched", root, plan, horizons)
     for mode in ("fused", "reference", "profiled", "step"):
         assert _drive(mode, root, plan, horizons) == want, mode

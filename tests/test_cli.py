@@ -324,6 +324,18 @@ class TestFleetCli:
         assert "no result store" in capsys.readouterr().err
         assert not missing.exists()
 
+    def test_compact_on_missing_store_fails(self, capsys, tmp_path):
+        """Like status, compact rejects a path holding no store and
+        creates nothing there."""
+        missing = tmp_path / "nothing"
+        assert main(["fleet", "compact", str(missing)]) == 2
+        assert "no result store" in capsys.readouterr().err
+        assert not missing.exists()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["fleet", "compact", str(empty)]) == 2
+        assert list(empty.iterdir()) == []
+
     def test_flat_store_is_read_only_until_compacted(self, capsys, tmp_path):
         """`fleet status` refuses a flat pre-shard store with exit 2 and
         leaves it byte-identical; `fleet compact` migrates it, after which
@@ -370,3 +382,25 @@ class TestFleetCli:
     def test_fleet_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["fleet"])
+
+
+@pytest.mark.parametrize(
+    "module", ["energy_savings", "chaos_resilience", "capture_study"]
+)
+def test_study_store_flag_reports_a_flat_store(module, capsys, tmp_path):
+    """A study CLI pointed at a flat pre-shard store prints the one-line
+    error and exits 2, before simulating anything and leaving the store
+    untouched."""
+    import importlib
+
+    study = importlib.import_module(f"repro.experiments.{module}")
+    flat = tmp_path / "flat"
+    flat.mkdir()
+    (flat / "results.jsonl").write_text("{}\n")
+    code = study.main(["--store", str(flat), "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"repro fleet compact {flat}" in err
+    assert sorted(p.name for p in flat.iterdir()) == ["results.jsonl"]
+    assert not (tmp_path / "o.json").exists()
