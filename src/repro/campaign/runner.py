@@ -151,6 +151,11 @@ def _execute_safe(
         return ("err", key, error_record(exc, attempts=0, label=spec.label()), None)
 
 
+#: Longest the pooled loop waits for a completion [s].  While no cell
+#: finishes, this bounds how late a stop request, a backed-off retry or an
+#: overdue cell is noticed.
+_POLL_S = 0.02
+
 #: Per-worker heartbeat queue, installed by the pool initializer.
 _WORKER_QUEUE = None
 
@@ -569,7 +574,11 @@ def _run_pooled(
     """Bounded-submission pool loop with retry, timeout, and clean drain.
 
     Cells are submitted via ``apply_async`` (at most ``jobs`` in flight) so
-    the parent can watch each cell's wall clock.  A cell whose worker
+    the parent can watch each cell's wall clock.  The loop is driven by
+    completions: each submission's callback sets an event the loop waits
+    on (for at most :data:`_POLL_S`), and a finished cell's replacement is
+    submitted before the parent stores and reports the finished result, so
+    no worker idles through the parent's fsync'd put.  A cell whose worker
     raised comes back as a structured error (see :func:`_execute_safe`) and
     is retried with exponential backoff; a cell that blows ``timeout_s``
     means a hung or hard-killed worker, which ``Pool`` cannot surface — the
@@ -608,6 +617,13 @@ def _run_pooled(
     todo: deque[tuple[RunSpec, float]] = deque((s, 0.0) for s in pending)
     #: key → (async result, spec, monotonic start time).
     inflight: dict[str, tuple] = {}
+    #: Set from the pool's result thread whenever a cell finishes, so the
+    #: loop wakes on completions rather than sleeping out a fixed poll.
+    wake = threading.Event()
+
+    def woken(_outcome) -> None:
+        wake.set()
+
     pool = make_pool()
     try:
         draining = False
@@ -616,23 +632,18 @@ def _run_pooled(
                 # Cooperative shutdown: drop queued cells, drain in-flight.
                 draining = True
                 todo.clear()
-            now = time.monotonic()
-            while todo and len(inflight) < jobs:
-                spec, not_before = todo[0]
-                if not_before > now:
-                    break  # head is backing off; poll in-flight meanwhile
-                todo.popleft()
-                async_result = pool.apply_async(
-                    _execute_safe, ((spec, worker_slices),)
-                )
-                inflight[spec.key()] = (async_result, spec, time.monotonic())
 
-            done = [k for k, (ar, _, _) in inflight.items() if ar.ready()]
-            for k in done:
+            # Clear before the scan: a cell finishing after it leaves the
+            # event set, so the wait at the bottom returns at once.
+            wake.clear()
+            ready = [k for k, (ar, _, _) in inflight.items() if ar.ready()]
+            #: (record or record_error, its arguments), run after the refill.
+            settled: list[tuple[Callable, tuple]] = []
+            for k in ready:
                 async_result, spec, _ = inflight.pop(k)
                 status, key, payload, runtime = async_result.get()
                 if status == "ok":
-                    record(spec, key, payload, runtime)
+                    settled.append((record, (spec, key, payload, runtime)))
                     continue
                 attempts[key] = attempts.get(key, 0) + 1
                 if attempts[key] > retries or draining:
@@ -640,10 +651,28 @@ def _run_pooled(
                     # fresh attempt would silently restart work the user
                     # just asked to stop.
                     payload["attempts"] = attempts[key]
-                    record_error(spec, key, payload)
+                    settled.append((record_error, (spec, key, payload)))
                 else:
                     delay = backoff_s * 2 ** (attempts[key] - 1)
                     todo.append((spec, time.monotonic() + delay))
+
+            # Refill before record: freed workers start their next cells
+            # while the parent persists and reports the finished ones.
+            now = time.monotonic()
+            while todo and len(inflight) < jobs:
+                spec, not_before = todo[0]
+                if not_before > now:
+                    break  # head is backing off; poll in-flight meanwhile
+                todo.popleft()
+                async_result = pool.apply_async(
+                    _execute_safe,
+                    ((spec, worker_slices),),
+                    callback=woken,
+                    error_callback=woken,
+                )
+                inflight[spec.key()] = (async_result, spec, time.monotonic())
+            for settle, args in settled:
+                settle(*args)
 
             if timeout_s is not None and inflight:
                 now = time.monotonic()
@@ -685,8 +714,8 @@ def _run_pooled(
                     inflight.clear()
                     pool = make_pool()
 
-            if inflight or todo:
-                time.sleep(0.02)
+            if not ready and (inflight or todo):
+                wake.wait(_POLL_S)
         pool.close()
         pool.join()
     finally:

@@ -228,7 +228,9 @@ class Channel:
         self.interference_floor_w = interference_floor_w
         self.model_propagation_delay = model_propagation_delay
         self.name = name
-        self._radios: list[Radio] = []
+        #: Attached radios, in attach order (a dict for O(1) membership;
+        #: the values are unused).  The brute fan-out iterates it.
+        self._radios: dict[Radio, None] = {}
 
         self._cell_size: float | None = None
         self._max_tx_power_w = max_tx_power_w
@@ -323,7 +325,7 @@ class Channel:
             self._entries[radio] = entry
             self._move_to_cell(entry, entry.pos)
             self._static_fanouts.clear()
-        self._radios.append(radio)
+        self._radios[radio] = None
 
     def detach(self, radio: Radio) -> None:
         """Remove a radio from the medium.
@@ -338,9 +340,12 @@ class Channel:
         ``signal_end`` keeps the radio's interference accounting consistent
         if it is later re-attached.  Callers that want a radio to go
         genuinely deaf mid-frame must model that at the radio, not by
-        detaching.
+        detaching.  Detaching a radio that is not attached raises
+        ``ValueError``.
         """
-        self._radios.remove(radio)
+        if radio not in self._radios:
+            raise ValueError(f"radio of node {radio.node_id} is not attached")
+        del self._radios[radio]
         entry = self._entries.pop(radio, None)
         if entry is not None:
             if entry.cell is not None:

@@ -165,6 +165,21 @@ class TestPooledContainment:
         assert report.errors[hung.key()]["kind"] == "Timeout"
         assert len(report.results) == 1
 
+    def test_hung_worker_times_out_within_a_short_budget(self):
+        # The fast copy of the test above: the overdue check runs on the
+        # loop's wait cap, so a sub-second budget is honoured too.
+        hung = good_cell(7, duration_s=100000.0)
+        report = run_specs(
+            [hung, good_cell(8)],
+            jobs=2,
+            timeout_s=0.5,
+            retries=0,
+            backoff_s=0.01,
+        )
+        assert report.errors[hung.key()]["kind"] == "Timeout"
+        assert report.errors[hung.key()]["attempts"] == 1
+        assert len(report.results) == 1
+
 
 class TestErrorRecord:
     def test_shape(self):

@@ -60,6 +60,47 @@ class TestDeterminismAcrossProcesses:
         assert spec.key() in report.results
 
 
+class TestPooledDispatch:
+    def test_replacement_is_submitted_before_the_finished_cell_is_stored(
+        self, tmp_path, monkeypatch
+    ):
+        # Refill before record: by the i-th put the parent has handed out
+        # min(n, jobs + i) cells, so no worker idles through a put.
+        import multiprocessing.pool
+
+        log: list[str] = []
+        apply_async = multiprocessing.pool.Pool.apply_async
+        put = ResultStore.put
+
+        def logged_apply_async(self, *args, **kwargs):
+            log.append("submit")
+            return apply_async(self, *args, **kwargs)
+
+        def logged_put(self, *args, **kwargs):
+            log.append("put")
+            return put(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            multiprocessing.pool.Pool, "apply_async", logged_apply_async
+        )
+        monkeypatch.setattr(ResultStore, "put", logged_put)
+        jobs = 2
+        specs = [
+            RunSpec(cfg=small_cfg(seed=seed, duration_s=2.0), protocol="basic")
+            for seed in range(1, 6)
+        ]
+        report = run_specs(specs, jobs=jobs, store=ResultStore(tmp_path / "s"))
+        assert report.executed == len(specs)
+        assert log.count("submit") == log.count("put") == len(specs)
+        submitted = puts = 0
+        for call in log:
+            if call == "submit":
+                submitted += 1
+                continue
+            puts += 1
+            assert submitted >= min(len(specs), jobs + puts), log
+
+
 class TestCachingAndResume:
     def test_second_run_is_all_cache_hits(self, tmp_path):
         campaign = small_campaign()

@@ -158,11 +158,13 @@ class TestQueries:
         assert chan.rx_power_now(a, b, 0.2818) == pytest.approx(RX, rel=0.01)
 
     def test_attach_twice_rejected(self, sim):
-        chan = make_channel(sim)
-        a = make_radio(sim, 0, (0.0, 0.0))
-        chan.attach(a)
-        with pytest.raises(ValueError):
+        for spatial in (False, True):
+            chan = make_channel(sim, **_spatial_kwargs(spatial))
+            a = make_radio(sim, 0, (0.0, 0.0))
             chan.attach(a)
+            with pytest.raises(ValueError, match="already attached"):
+                chan.attach(a)
+            assert chan.radios == (a,)
 
     def test_detach(self, sim):
         chan = make_channel(sim)
@@ -170,6 +172,29 @@ class TestQueries:
         chan.attach(a)
         chan.detach(a)
         assert a not in chan.radios
+
+    @pytest.mark.parametrize("spatial", [False, True])
+    def test_detach_of_unattached_radio_rejected(self, sim, spatial):
+        chan = make_channel(sim, **_spatial_kwargs(spatial))
+        a = make_radio(sim, 0, (0.0, 0.0))
+        b = make_radio(sim, 1, (100.0, 0.0))
+        chan.attach(a)
+        with pytest.raises(ValueError, match="not attached"):
+            chan.detach(b)
+        chan.detach(a)
+        with pytest.raises(ValueError, match="not attached"):
+            chan.detach(a)
+        assert chan.radios == ()
+
+    def test_reattach_after_churn_goes_last(self, sim):
+        # The brute fan-out iterates radios in attach order.
+        chan = make_channel(sim)
+        a, b, c = (make_radio(sim, i, (100.0 * i, 0.0)) for i in range(3))
+        for radio in (a, b, c):
+            chan.attach(radio)
+        chan.detach(a)
+        chan.attach(a)
+        assert chan.radios == (b, c, a)
 
 
 def _spatial_kwargs(spatial):
