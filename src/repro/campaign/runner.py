@@ -72,11 +72,6 @@ ProgressFn = Callable[[str], None]
 StopFn = Callable[[], bool]
 
 
-def _execute(spec: RunSpec) -> tuple[str, "ExperimentResult"]:
-    """Worker entry point: run one cell (module-level for picklability)."""
-    return spec.key(), spec.run()
-
-
 #: Largest traceback stored in an error record [chars].  Hung or killed
 #: workers can surface tracebacks through arbitrarily deep retry wrappers;
 #: bounding keeps the store's JSONL lines small and greppable.
@@ -129,17 +124,17 @@ def error_record(
 
 
 def _execute_safe(
-    args: tuple[RunSpec, int | None],
+    args: tuple[RunSpec, str, int | None],
 ) -> tuple[str, str, object, dict | None]:
     """Pooled worker entry point that never raises.
 
     Runs one cell (with heartbeats when ``slices`` is not None) and returns
     ``("ok", key, result, runtime)`` — or catches the exception and returns
     ``("err", key, error_dict, None)`` so one bad cell cannot poison the
-    pool's result stream.
+    pool's result stream.  ``key`` is the cell's content key, computed
+    once by the parent and passed through.
     """
-    spec, slices = args
-    key = spec.key()
+    spec, key, slices = args
     try:
         if slices is None:
             return ("ok", key, spec.run(), None)
@@ -278,7 +273,9 @@ def run_specs(
     t0 = time.perf_counter()
     report = CampaignReport()
 
-    pending: list[RunSpec] = []
+    #: (content key, spec) of every cell to simulate: the key is computed
+    #: once here and carried to the workers and the store.
+    pending: list[tuple[str, RunSpec]] = []
     seen: set[str] = set()
     for spec in specs:
         key = spec.key()
@@ -292,7 +289,7 @@ def run_specs(
             if progress is not None:
                 progress(f"[cached] {cached.row()}  seed={cached.seed}")
         else:
-            pending.append(spec)
+            pending.append((key, spec))
 
     def record(
         spec: RunSpec,
@@ -305,7 +302,7 @@ def run_specs(
         report.results[key] = result
         report.executed += 1
         if store is not None and persist:
-            store.put(spec, result, runtime=runtime)
+            store.put(spec, result, runtime=runtime, key=key)
         if progress is not None:
             progress(
                 f"[{report.executed}/{len(pending)}] {result.row()}"
@@ -317,7 +314,7 @@ def run_specs(
     ) -> None:
         report.errors[key] = error
         if store is not None and persist:
-            store.put_error(spec, error)
+            store.put_error(spec, error, key=key)
         if progress is not None:
             progress(
                 f"[failed] {spec.protocol} load={spec.load_kbps} "
@@ -346,7 +343,7 @@ def run_specs(
             lease_ttl_s=lease_ttl_s,
         )
     elif jobs == 1 or len(pending) <= 1:
-        for spec in pending:
+        for key, spec in pending:
             if stopping():
                 break
             attempt = 0
@@ -357,16 +354,15 @@ def run_specs(
                         result, runtime = run_with_heartbeat(
                             spec, telemetry, slices=slices
                         )
-                        record(spec, spec.key(), result, runtime)
+                        record(spec, key, result, runtime)
                     else:
-                        key, result = _execute(spec)
-                        record(spec, key, result)
+                        record(spec, key, spec.run())
                     break
                 except Exception as exc:  # noqa: BLE001 - containment
                     if attempt > retries or stopping():
                         record_error(
                             spec,
-                            spec.key(),
+                            key,
                             error_record(exc, attempt, label=spec.label()),
                         )
                         break
@@ -421,7 +417,7 @@ def _fleet_worker_entry(
 
 
 def _run_fleet(
-    pending: Sequence[RunSpec],
+    pending: Sequence[tuple[str, RunSpec]],
     *,
     jobs: int,
     store: ResultStore,
@@ -453,9 +449,9 @@ def _run_fleet(
 
     work_queue = WorkQueue(store.root / "fleet")
     work_queue.clear_stop()
-    for spec in pending:
+    for _, spec in pending:
         work_queue.enqueue(spec)
-    by_key = {spec.key(): spec for spec in pending}
+    by_key = dict(pending)
 
     options = {
         "lease_ttl_s": lease_ttl_s or DEFAULT_LEASE_TTL_S,
@@ -559,7 +555,7 @@ def _run_fleet(
 
 
 def _run_pooled(
-    pending: Sequence[RunSpec],
+    pending: Sequence[tuple[str, RunSpec]],
     *,
     jobs: int,
     record: Callable,
@@ -613,8 +609,11 @@ def _run_pooled(
 
     worker_slices = slices if telemetry is not None else None
     attempts: dict[str, int] = {}
-    #: (spec, earliest monotonic submit time) — retries wait out backoff.
-    todo: deque[tuple[RunSpec, float]] = deque((s, 0.0) for s in pending)
+    #: (key, spec, earliest monotonic submit time) — retries wait out
+    #: backoff.
+    todo: deque[tuple[str, RunSpec, float]] = deque(
+        (k, s, 0.0) for k, s in pending
+    )
     #: key → (async result, spec, monotonic start time).
     inflight: dict[str, tuple] = {}
     #: Set from the pool's result thread whenever a cell finishes, so the
@@ -654,23 +653,23 @@ def _run_pooled(
                     settled.append((record_error, (spec, key, payload)))
                 else:
                     delay = backoff_s * 2 ** (attempts[key] - 1)
-                    todo.append((spec, time.monotonic() + delay))
+                    todo.append((key, spec, time.monotonic() + delay))
 
             # Refill before record: freed workers start their next cells
             # while the parent persists and reports the finished ones.
             now = time.monotonic()
             while todo and len(inflight) < jobs:
-                spec, not_before = todo[0]
+                key, spec, not_before = todo[0]
                 if not_before > now:
                     break  # head is backing off; poll in-flight meanwhile
                 todo.popleft()
                 async_result = pool.apply_async(
                     _execute_safe,
-                    ((spec, worker_slices),),
+                    ((spec, key, worker_slices),),
                     callback=woken,
                     error_callback=woken,
                 )
-                inflight[spec.key()] = (async_result, spec, time.monotonic())
+                inflight[key] = (async_result, spec, time.monotonic())
             for settle, args in settled:
                 settle(*args)
 
@@ -707,10 +706,10 @@ def _run_pooled(
                                 )
                                 continue
                             delay = backoff_s * 2 ** (attempts[k] - 1)
-                            todo.append((spec, time.monotonic() + delay))
+                            todo.append((k, spec, time.monotonic() + delay))
                         else:
                             # Innocent bystander: resubmit without penalty.
-                            todo.appendleft((spec, 0.0))
+                            todo.appendleft((k, spec, 0.0))
                     inflight.clear()
                     pool = make_pool()
 

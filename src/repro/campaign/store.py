@@ -596,6 +596,7 @@ class ResultStore:
         result: "ExperimentResult",
         *,
         runtime: dict | None = None,
+        key: str | None = None,
     ) -> str:
         """Record one finished cell; returns its key.
 
@@ -610,8 +611,12 @@ class ResultStore:
         :func:`repro.obs.telemetry.runtime_stats`) persisted alongside the
         cell but excluded from the result — it describes *this* execution,
         not the scenario.
+
+        ``key`` is ``spec.key()`` when the caller already holds it (a
+        campaign computes each cell's key once); None computes it here.
         """
-        key = spec.key()
+        if key is None:
+            key = spec.key()
         path = self._file_for(key)
         record = {
             "key": key,
@@ -635,7 +640,9 @@ class ResultStore:
             self._runtimes[key] = runtime
         return key
 
-    def put_error(self, spec: RunSpec, error: dict) -> str:
+    def put_error(
+        self, spec: RunSpec, error: dict, *, key: str | None = None
+    ) -> str:
         """Record one permanently failed cell — unless a success exists.
 
         ``error`` is a structured failure description (see
@@ -644,9 +651,11 @@ class ResultStore:
         so a later ``--resume`` re-runs the cell.  A completed result
         always outranks an error for the same (deterministic) key, so a
         late error from a presumed-dead worker never shadows the thief's
-        success.
+        success.  ``key`` is ``spec.key()`` when the caller holds it, as
+        in :meth:`put`.
         """
-        key = spec.key()
+        if key is None:
+            key = spec.key()
         path = self._file_for(key)
         with self._lock(path):
             self._read_file(path, tail_is_torn=False, locked=True)

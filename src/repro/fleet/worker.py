@@ -198,7 +198,7 @@ class FleetWorker:
         except Exception as exc:  # noqa: BLE001 - containment is the job
             self._handle_failure(claimed, exc, report)
             return
-        self.store.put(spec, result, runtime=runtime)
+        self.store.put(spec, result, runtime=runtime, key=key)
         self._finish(claimed, report, cached=False, lease_now=lease)
 
     def _finish(

@@ -23,6 +23,17 @@ class MobilityModel:
     only advances when the position is actually *sampled* — callers that
     need the epoch at the current time must call :meth:`poll` (which samples
     and reports atomically) rather than reading :attr:`epoch` alone.
+
+    Still intervals
+    ---------------
+    :meth:`still_until` ``(t)`` returns a time ``T >= t`` such that every
+    :meth:`poll` at a time in ``[t, T)`` returns the position *and* epoch
+    that ``poll(t)`` returns.  ``T == t`` (an empty interval) is always a
+    correct answer; ``inf`` means the node never moves again.  The channel
+    replays fan-outs while every radio is still (see
+    :class:`~repro.phy.channel.Channel`), so an answer that overstates the
+    interval breaks bit-identity.  Like ``poll`` it may assume
+    non-decreasing query times, and it must not steer the trajectory.
     """
 
     def position_at(self, t: float) -> Position:
@@ -68,3 +79,11 @@ class MobilityModel:
         ``math.inf``; the base implementation does, as the safe default.
         """
         return float("inf")
+
+    def still_until(self, t: float) -> float:
+        """End of the still interval starting at ``t`` (see class docs).
+
+        The base implementation knows nothing of the trajectory: ``inf``
+        for an immobile model (speed bound 0), otherwise ``t``.
+        """
+        return float("inf") if self.max_speed_mps() == 0.0 else t

@@ -136,3 +136,16 @@ class RandomWaypoint(MobilityModel):
 
     def position_at(self, t: float) -> Position:
         return self.poll(t)[0]
+
+    def still_until(self, t: float) -> float:
+        """End of the pause leg (or degenerate leg) under way at ``t``.
+
+        Advances the legs exactly as :meth:`poll` does.  A pause leg holds
+        ``p0``, and so does a leg that goes nowhere (zero speed: ``dx ==
+        dy == 0``), up to its end ``t1``; a genuine move answers ``t``.
+        """
+        while t >= self._t1:
+            self._next_leg()
+        if self._moving and (self._dx or self._dy):
+            return t
+        return self._t1

@@ -43,11 +43,10 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   movement epoch (:class:`~repro.mobility.base.MobilityModel`) that bumps
   only when a position sample actually moves.  Per-link ``(gain,
   distance)`` pairs are cached keyed on both endpoints' epochs, so mobile
-  scenarios get hits during pause legs and repeated same-instant samples:
-  short cells that sit inside every node's initial pause resolve nearly
-  every pair from it.  Radios whose mobility bound is 0 m/s are flagged
-  static at attach and skip position polling entirely.  An all-static
-  world keeps no link records at all (see static replay).
+  scenarios get hits during pause legs and repeated same-instant samples.
+  Radios whose mobility bound is 0 m/s are flagged static at attach and
+  skip position polling entirely.  While no radio moves, no link record
+  is written at all (see frozen-interval replay).
 * **Motion-bounded culling.**  Each source keeps, per receiver it has
   resolved, the exact distance ``d`` at the time ``t`` it was computed.
   Two radios close at most ``2 · max_speed_mps`` (``drift``), so while
@@ -63,21 +62,32 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   interpolated waypoint samples outrunning their speed bound by ~1e-13 m.
   The record is ``(d + drift · t, src epoch, rx epoch, gain, d)``, so the
   skip is one dict lookup and one compare against a limit hoisted out of
-  the loop; it survives the source moving.  Records exist only in moving
-  worlds.
-* **One survivor builder per world kind.**  A scalar loop visits the
+  the loop; it survives the source moving.  Only moving intervals write
+  records.
+* **One survivor builder per interval kind.**  A scalar loop visits the
   candidate block in attach order and resolves each other radio to a
   received power and a delay, or culls it below the floor.  Its
   ``[(rx, rx_power, delay)]`` list is the whole per-transmit answer; one
-  shared tail numbers it into edges.  The moving world's loop skips the
-  pairs the motion bound rules out and keeps the records; the static
-  world's reads the attach-time positions and keeps nothing.
-* **Static replay.**  In an all-static world (``max_speed_mps == 0``) the
-  survivor list of each ``(source, tx power)`` is built once and replayed
-  on every later transmit.  It is the static fan-out's only cache: a miss
-  computes the distance and gain of every candidate afresh, which is
-  cheaper than keeping a record per pair that the memo already
-  duplicates.
+  shared tail numbers it into edges.  The moving interval's loop skips
+  the pairs the motion bound rules out and keeps the records; the frozen
+  interval's reads the entries' stored positions and keeps nothing.
+* **Frozen-interval replay.**  Each mobility model reports how long its
+  position stays put (:meth:`~repro.mobility.base.MobilityModel.still_until`:
+  the end of a waypoint pause leg, ``inf`` for a static node).  The
+  channel keeps ``_frozen_until``, the earliest such end over its mobile
+  radios, taken at each reindex (which also stores every radio's fresh
+  position and moves it to its cell) and lowered by ``attach``.  While
+  ``now`` is below it no radio moves, so the survivor list of each
+  ``(source, tx power)`` is built once and replayed on every later
+  transmit.  An all-static world is the case that stays frozen forever
+  (``inf``; static radios are never asked).  The memo is the frozen
+  fan-out's only cache: a miss computes the distance and gain of every
+  candidate afresh, which is cheaper than keeping a record per pair that
+  the memo already duplicates.  A reindex that finds the previous
+  interval thawed clears it, as do attach and detach; moving intervals
+  resolve through the motion-bounded loop.  The waypoint model starts
+  every node on a pause leg, so a mobile cell replays until its first
+  node leaves.
 * **Edge batches.**  The brute scan schedules every edge as its own event;
   the indexed path hands all edges of one transmit to the kernel in one
   :meth:`~repro.sim.kernel.Simulator.schedule_edges` call, numbered with
@@ -161,7 +171,8 @@ class _RadioEntry:
     ``static`` is set when the mobility model's speed bound is 0 m/s — the
     position (and hence the movement epoch) can never change, so the hot
     fan-out loop reads the attach-time sample ``pos`` / ``epoch`` instead
-    of polling (for a mobile radio they are only the attach-time sample).
+    of polling.  For a mobile radio they are refreshed at each reindex, so
+    they hold its position throughout a frozen interval.
     ``poll_mob`` is the mobility model's bound ``poll`` — the fan-out calls
     it directly, skipping one Python frame per candidate per transmit.
     """
@@ -247,20 +258,22 @@ class Channel:
         #: motion bound compares against one hoisted limit.  A record is
         #: overwritten whenever its pair is resolved afresh, and a table
         #: holding more than twice its source's candidate block is cleared,
-        #: so memory stays O(pairs within a block).  Only moving worlds
-        #: write records: an all-static world resolves through static
-        #: replay alone.
+        #: so memory stays O(pairs within a block).  Only moving intervals
+        #: write records: a frozen one resolves through replay alone.
         self._links: dict[int, dict[int, tuple]] = {}
         #: Motion bound: how fast any pair can close [m/s] (both ends at
         #: ``max_speed_mps``).
         self._drift_mps = 2.0 * max_speed_mps
         self._next_seq = 0
-        #: All-static fast path: with ``max_speed_mps == 0`` every attached
-        #: radio is pinned (attach enforces the bound), so the fan-out of a
-        #: given (source, tx power) never changes — cache it as a replayable
-        #: ``[(rx, rx_power, delay), ...]`` list (attach order).  Any attach
-        #: or detach invalidates the whole cache.
+        #: Frozen-interval replay: while no radio moves, the fan-out of a
+        #: given (source, tx power) cannot change — cache it as a replayable
+        #: ``[(rx, rx_power, delay, k), ...]`` list.  Attach, detach and a
+        #: reindex after a thaw clear the whole cache.
         self._static_fanouts: dict[tuple[int, float], list] = {}
+        #: Time until which no attached radio moves: ``inf`` while every
+        #: radio is static, else the earliest ``still_until`` of the mobile
+        #: radios at the last reindex, lowered by each mobile attach.
+        self._frozen_until = math.inf
         self._max_speed_mps = max_speed_mps
         self._reindex_interval_s = reindex_interval_s
         self._reindex_due_at = math.inf
@@ -325,6 +338,10 @@ class Channel:
             self._entries[radio] = entry
             self._move_to_cell(entry, entry.pos)
             self._static_fanouts.clear()
+            if not entry.static:
+                until = entry.mobility.still_until(self.sim.now)
+                if until < self._frozen_until:
+                    self._frozen_until = until
         self._radios[radio] = None
 
     def detach(self, radio: Radio) -> None:
@@ -380,13 +397,23 @@ class Channel:
         perturb event sequence numbers) at most once per
         ``reindex_interval_s`` of simulated time, bounding both the grid
         staleness and the amortised cost.  Static radios cannot change cell
-        and are skipped.
+        and are skipped.  Each mobile radio's sample is stored in its entry,
+        and ``_frozen_until`` becomes the earliest time one of them moves.
+        If the previous frozen interval has thawed, radios may have moved
+        since the replay memo was filled, so it is cleared.
         """
+        if now >= self._frozen_until:
+            self._static_fanouts.clear()
+        frozen_until = math.inf
         for entry in self._entries.values():
             if entry.static:
                 continue
-            pos, _ = entry.poll_mob(now)
-            self._move_to_cell(entry, pos)
+            entry.pos, entry.epoch = entry.poll_mob(now)
+            self._move_to_cell(entry, entry.pos)
+            until = entry.mobility.still_until(now)
+            if until < frozen_until:
+                frozen_until = until
+        self._frozen_until = frozen_until
         self._reindex_due_at = now + self._reindex_interval_s
 
     def _block_candidates(self, block_key: tuple[int, int]) -> list[_RadioEntry]:
@@ -418,13 +445,15 @@ class Channel:
     def _static_survivors(
         self, entry: _RadioEntry, tx_power: float
     ) -> list[tuple[Radio, float, float, int]]:
-        """An all-static world's ``[(rx, rx_power, delay, k)]``, delay order.
+        """A frozen interval's ``[(rx, rx_power, delay, k)]``, delay order.
 
         ``k`` is twice the survivor's attach-order index: its seq offset in
         the edge batch (see :meth:`_fanout_indexed`).  Built once per
-        ``(source, tx power)`` for static replay, which is the only cache:
-        every radio is pinned at its attach-time ``pos``, so each candidate
-        is resolved straight from it — no link record, no motion bound.  A
+        ``(source, tx power)`` and frozen interval for replay, which is the
+        only cache: every radio holds still at its entry's ``pos`` (sampled
+        at attach or at the reindex that opened the interval) and sits in
+        that position's cell, so each candidate is resolved straight from
+        it — no link record, no motion bound.  A
         pair resolved again for another power level yields the same
         distance and gain floats, so every power and delay is the float
         :meth:`_fanout_brute` computes.
@@ -464,7 +493,7 @@ class Channel:
 
         ``k`` is the seq offset, as in :meth:`_static_survivors`.
 
-        The resolve loop of a moving world's indexed fan-out (and of an
+        The resolve loop of a moving interval's indexed fan-out (and of an
         unattached transmitter's).  The candidate block is a superset of
         every radio above the interference floor.  A candidate whose last exact
         distance, shrunk by the most both ends can have closed since
@@ -608,10 +637,11 @@ class Channel:
         Produces the exact event schedule of :meth:`_fanout_brute`: each
         survivor takes the seqs the brute scan's ``schedule`` calls would
         (receiver *i* in attach order: start ``base + 2i``, end
-        ``base + 2i + 1``), so same-time ties break identically.  In an
-        all-static world a ``(source, tx power)`` survivor list can never
-        change, so :meth:`_static_survivors` builds it once and it is
-        replayed; a moving world runs :meth:`_survivors` per transmit.
+        ``base + 2i + 1``), so same-time ties break identically.  While the
+        world is frozen (``now < _frozen_until``) a ``(source, tx power)``
+        survivor list cannot change, so :meth:`_static_survivors` builds it
+        once and it is replayed; a moving interval runs :meth:`_survivors`
+        per transmit.
         Survivors come in delay order, so the batch is passed as its
         leading edges then its trailing edges, each run in time order.
         """
@@ -619,7 +649,9 @@ class Channel:
         now = sim.now
         tx_power = frame.tx_power_w
         entry = self._entries.get(src)
-        if self._max_speed_mps == 0.0 and entry is not None:
+        if now >= self._reindex_due_at:
+            self._reindex(now)
+        if now < self._frozen_until and entry is not None:
             key = (entry.seq, tx_power)
             fanouts = self._static_fanouts
             hits = fanouts.get(key)
@@ -629,8 +661,6 @@ class Channel:
                     fanouts.clear()
                 fanouts[key] = hits
         else:
-            if now >= self._reindex_due_at:
-                self._reindex(now)
             hits = self._survivors(src, entry, tx_power, now)
         duration = frame.duration_s
         end_args = (frame.frame_id,)

@@ -100,6 +100,38 @@ class TestPooledDispatch:
             puts += 1
             assert submitted >= min(len(specs), jobs + puts), log
 
+    def test_each_pending_key_is_computed_once(self, tmp_path, monkeypatch):
+        # The parent hashes each cell once and hands the key to the worker
+        # and to the store's put; the worker hashes nothing.
+        from repro.campaign import runner
+        from repro.scenariospec import ScenarioSpec
+
+        calls = []
+        key = ScenarioSpec.key
+
+        def counted_key(self):
+            calls.append(self)
+            return key(self)
+
+        monkeypatch.setattr(ScenarioSpec, "key", counted_key)
+        specs = [
+            RunSpec(cfg=small_cfg(seed=seed, duration_s=2.0), protocol=proto)
+            for seed in (1, 2)
+            for proto in ("basic", "pcmac")
+        ]
+        store = ResultStore(tmp_path / "s")
+        report = run_specs(specs + specs[:1], jobs=2, store=store)
+        assert report.executed == len(specs)
+        # One call per pending cell, plus one for the duplicate it dropped.
+        assert len(calls) == len(specs) + 1
+        assert all(store.get(spec.key()) is not None for spec in specs)
+
+        calls.clear()
+        status, got, _, _ = runner._execute_safe(
+            (specs[0], "k" * 32, None)
+        )
+        assert (status, got, calls) == ("ok", "k" * 32, [])
+
 
 class TestCachingAndResume:
     def test_second_run_is_all_cache_hits(self, tmp_path):

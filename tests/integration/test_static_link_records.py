@@ -1,34 +1,52 @@
 """Link records exist only where something moves.
 
-In an all-static world the channel's static replay memo is its only
-fan-out cache: a built and run static PCMAC cell must leave no per-pair
-link record on either channel (data or power-control).  A waypoint cell
-still keeps them, because the motion bound and the epoch gain cache live
-in those records.
+While no radio moves the channel's replay memo is its only fan-out cache:
+a built and run static PCMAC cell must leave no per-pair link record on
+either channel (data or power-control), and neither may a waypoint cell
+that ends inside its nodes' initial pause.  A waypoint cell that runs past
+the pause still keeps them once the nodes move, because the motion bound
+and the epoch gain cache live in those records.
 """
 
 from __future__ import annotations
 
 from repro.builder import NetworkBuilder
 from repro.config import MobilityConfig, ScenarioConfig, TrafficConfig
+from repro.phy.channel import Channel
 from repro.scenariospec import ScenarioSpec
 
+PAUSE_S = 3.0
 
-def _run(speed_mps: float, mobility: str):
+
+def _run(speed_mps: float, mobility: str, duration_s: float = 3.0):
     cfg = ScenarioConfig(
         node_count=8,
-        duration_s=3.0,
+        duration_s=duration_s,
         seed=3,
         traffic=TrafficConfig(
             flow_count=2, offered_load_bps=160e3, start_time_s=0.5
         ),
         mobility=MobilityConfig(
-            speed_mps=speed_mps, field_width_m=400.0, field_height_m=400.0
+            speed_mps=speed_mps, pause_s=PAUSE_S, field_width_m=400.0,
+            field_height_m=400.0,
         ),
     )
     net = NetworkBuilder(ScenarioSpec(cfg=cfg, mac="pcmac", mobility=mobility)).build()
     net.run()
     return net
+
+
+def _spy(monkeypatch, name: str) -> list[float]:
+    """Record the simulation time of every call to ``Channel.<name>``."""
+    calls: list[float] = []
+    original = getattr(Channel, name)
+
+    def spy(self, *args):
+        calls.append(self.sim.now)
+        return original(self, *args)
+
+    monkeypatch.setattr(Channel, name, spy)
+    return calls
 
 
 def test_static_pcmac_cell_keeps_no_link_tables():
@@ -40,8 +58,34 @@ def test_static_pcmac_cell_keeps_no_link_tables():
         assert chan._static_fanouts  # the replay memo did the caching
 
 
-def test_waypoint_cell_keeps_link_tables():
+def test_waypoint_cell_inside_its_pause_replays(monkeypatch):
+    """Every node sits in its initial 3 s pause for the whole 3 s cell, so
+    the world is frozen throughout: replay fills the memo, no record is
+    written and the motion-bounded loop never runs."""
+    moving = _spy(monkeypatch, "_survivors")
     net = _run(10.0, "waypoint")
-    assert net.data_channel.spatial_index
-    assert net.data_channel._links  # the motion bound stays engaged
-    assert net.data_channel._static_fanouts == {}
+    chan = net.data_channel
+    assert chan.spatial_index and chan._frozen_until == PAUSE_S
+    assert chan._static_fanouts
+    assert chan._links == {}
+    assert moving == []
+
+
+def test_waypoint_cell_keeps_link_tables(monkeypatch):
+    """A cell that runs past the pause replays until the nodes leave, then
+    resolves every transmit through the motion-bounded loop, which writes
+    its records from the thaw on."""
+    frozen = _spy(monkeypatch, "_static_survivors")
+    moving = _spy(monkeypatch, "_survivors")
+    net = _run(10.0, "waypoint", duration_s=6.0)
+    chan = net.data_channel
+    assert frozen and max(frozen) < PAUSE_S
+    assert moving and min(moving) >= PAUSE_S
+    assert chan._links  # the motion bound stays engaged
+    drift = 2.0 * 10.0
+    for links in chan._links.values():
+        for record in links.values():
+            if len(record) > 1:
+                key, _, _, _, dist = record
+                # The key is dist + drift * t for a resolve time t >= 3 s.
+                assert key >= dist + drift * PAUSE_S

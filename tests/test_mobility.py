@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import MobilityConfig
+from repro.mobility.base import MobilityModel
 from repro.mobility.placement import grid_positions, line_positions, uniform_positions
 from repro.mobility.static import StaticMobility
 from repro.mobility.waypoint import RandomWaypoint
@@ -284,3 +285,106 @@ class TestMovementEpochs:
             if epoch in seen:
                 assert seen[epoch] == pos
             seen[epoch] = pos
+
+
+class _Draws:
+    """Stand-in generator: ``uniform(lo, hi)`` first takes a scripted list
+    of fractions of its interval, then draws from a seeded generator.
+
+    Repeated fractions send a node to the waypoint it already stands on (a
+    zero-length leg); fraction 0 of a ``speed_range`` starting at 0 draws a
+    standing speed.  The seeded tail keeps a zero pause from chaining
+    zero-length legs forever.
+    """
+
+    def __init__(self, fractions):
+        self._fractions = list(fractions)
+        self._rng = np.random.default_rng(len(fractions))
+
+    def uniform(self, lo, hi):
+        if self._fractions:
+            return lo + (hi - lo) * self._fractions.pop(0)
+        return float(self._rng.uniform(lo, hi))
+
+
+_STEPS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+    st.floats(min_value=0.0, max_value=4.0),
+)
+
+
+class TestStillUntil:
+    """``still_until(t)``: every poll in ``[t, still_until(t))`` returns
+    ``poll(t)``'s position and epoch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fractions=st.lists(
+            st.sampled_from([0.0, 0.25, 1.0]), min_size=0, max_size=12
+        ),
+        pause_s=st.sampled_from([0.0, 0.5, 3.0]),
+        speed_mps=st.sampled_from([0.0, 2.0]),
+        speed_range=st.sampled_from([None, (0.0, 0.0), (0.0, 4.0), (1.0, 4.0)]),
+        steps=st.lists(_STEPS, min_size=1, max_size=40),
+    )
+    def test_waypoint_holds_still_until(
+        self, fractions, pause_s, speed_mps, speed_range, steps
+    ):
+        cfg = MobilityConfig(speed_mps=speed_mps, pause_s=pause_s,
+                             field_width_m=8.0, field_height_m=6.0)
+        m = RandomWaypoint(_Draws(fractions), cfg, (0.0, 0.0),
+                           speed_range=speed_range)
+        #: (still_until, position, epoch) claimed at earlier query times.
+        claims: list[tuple[float, tuple[float, float], int]] = []
+        t = 0.0
+        for i, step in enumerate(steps):
+            t += step
+            # Ask before and after sampling: either order must hold.
+            if i % 2:
+                sample = m.poll(t)
+                until = m.still_until(t)
+            else:
+                until = m.still_until(t)
+                sample = m.poll(t)
+            assert until >= t
+            for claim_until, pos, epoch in claims:
+                if t < claim_until:
+                    assert sample == (pos, epoch)
+            claims.append((until, *sample))
+
+    def test_waypoint_pause_and_move_legs(self):
+        cfg = MobilityConfig(speed_mps=3.0, pause_s=3.0)
+        m = RandomWaypoint(np.random.default_rng(1), cfg, (10.0, 20.0))
+        assert m.still_until(0.0) == 3.0  # the initial pause
+        assert m.still_until(2.5) == 3.0
+        assert m.still_until(3.5) == 3.5  # moving: an empty interval
+        m.position_at(3.5)
+        arrival = m._t1
+        assert m.still_until(arrival) == arrival + 3.0
+
+    def test_waypoint_zero_speed_is_still_forever(self):
+        cfg = MobilityConfig(speed_mps=0.0, pause_s=1.0)
+        m = RandomWaypoint(np.random.default_rng(2), cfg, (5.0, 5.0))
+        assert m.still_until(0.0) == 1.0
+        assert m.still_until(1.0) == math.inf
+
+    def test_static_is_still_forever(self):
+        m = StaticMobility((3.0, 4.0))
+        assert m.still_until(0.0) == math.inf
+        assert m.still_until(1e6) == math.inf
+
+    def test_base_default_follows_the_speed_bound(self):
+        class Pinned(MobilityModel):
+            def position_at(self, t):
+                return (1.0, 2.0)
+
+            def max_speed_mps(self):
+                return 0.0
+
+        class Unknown(MobilityModel):
+            def position_at(self, t):
+                return (t, 0.0)
+
+        assert Pinned().still_until(4.0) == math.inf
+        # Unbounded speed by default: nothing is known to hold still.
+        assert Unknown().still_until(4.0) == 4.0
