@@ -1,4 +1,4 @@
-"""Result fingerprints: six short cells pinned to the exact bytes they produce.
+"""Result fingerprints: nine short cells pinned to the exact bytes they produce.
 
 The differential suite compares two builds of the *same* code, so a change
 made to both sides passes it.  These cells compare against the past
@@ -6,8 +6,8 @@ instead: each one's full :class:`~repro.metrics.ExperimentResult`, minus
 ``wallclock_s``, is hashed as canonical JSON (sorted keys, no whitespace —
 the same recipe as ``bench/workloads.py::fingerprint``) and pinned below.
 
-Between them the cells cover basic and PCMAC, the SINR receiver, random
-waypoint mobility, crash/rejoin churn, injected corruption with link fades
+Between them the cells cover all four MACs (basic, Scheme 1, Scheme 2 and
+PCMAC), the SINR receiver under basic and PCMAC, random waypoint mobility, crash/rejoin churn, injected corruption with link fades
 and noise bursts, and battery energy with node deaths.  A change that is
 meant to keep results bit-identical must leave every hash alone; a change
 that is allowed to move results updates the hashes on purpose, in the same
@@ -38,7 +38,7 @@ def _spec(mac: str, cfg: dict, **components) -> dict:
 _STATIC_FIELD = {"speed_mps": 0.0, "field_width_m": 600.0,
                  "field_height_m": 600.0}
 
-#: label -> scenario spec dict (all six run in under 2 s).
+#: label -> scenario spec dict (all nine run in under 2 s).
 CELLS: dict[str, dict] = {
     "basic-static": _spec(
         "basic",
@@ -56,6 +56,31 @@ CELLS: dict[str, dict] = {
     ),
     "pcmac-sinr-cluster": _spec(
         "pcmac",
+        {"node_count": 12, "duration_s": 2.0, "seed": 11,
+         "traffic": {"flow_count": 4, "offered_load_bps": 400000.0},
+         "mobility": {"speed_mps": 0.0, "field_width_m": 250.0,
+                      "field_height_m": 250.0}},
+        placement={"name": "cluster",
+                   "params": {"clusters": 3, "spread_m": 40.0}},
+        mobility={"name": "static", "params": {}},
+        reception={"name": "sinr", "params": {}},
+    ),
+    "scheme1-static": _spec(
+        "scheme1",
+        {"node_count": 16, "duration_s": 3.0, "seed": 3,
+         "traffic": {"flow_count": 5, "offered_load_bps": 900000.0},
+         "mobility": _STATIC_FIELD},
+        mobility={"name": "static", "params": {}},
+    ),
+    "scheme2-static": _spec(
+        "scheme2",
+        {"node_count": 16, "duration_s": 3.0, "seed": 3,
+         "traffic": {"flow_count": 5, "offered_load_bps": 900000.0},
+         "mobility": _STATIC_FIELD},
+        mobility={"name": "static", "params": {}},
+    ),
+    "basic-sinr-cluster": _spec(
+        "basic",
         {"node_count": 12, "duration_s": 2.0, "seed": 11,
          "traffic": {"flow_count": 4, "offered_load_bps": 400000.0},
          "mobility": {"speed_mps": 0.0, "field_width_m": 250.0,
@@ -106,12 +131,15 @@ CELLS: dict[str, dict] = {
 
 #: label -> SHA-256 of the canonical result JSON (see the module docstring).
 FINGERPRINTS: dict[str, str] = {
+    "basic-sinr-cluster": "607b852e21e3e9ae65577c36b72700f66e28ccba16ec0bd13abb09cf5801271b",
     "basic-static": "7885ea9f2be789547a702c0b2b1c94d86b3adc9784832d213454bf50de1b7de1",
     "basic-waypoint-churn": "c357dcffc510385d9d210ee137d7f1c97793f893935f65b090671fe1e6c3aab7",
     "pcmac-battery": "7e92d9a9f7a469820805d4d64f21e5f70c2bffd72ac69f7effcd244df7a7b20a",
     "pcmac-scripted-corruption": "5561c4184b350f1d805dade6bf1a5fd3a65f825030cbc402745be5d9153a60fb",
     "pcmac-sinr-cluster": "ec78587562ef30e3e9b1245bbf03b747ffc4700268624c237611e9e8643a8d4a",
     "pcmac-static": "2c4265430546ed0b63263f13d80b2a6755f90e7aa6f38a5c8e268c5afccd1693",
+    "scheme1-static": "ed0859fd1fc73dc50808eb9d84fbeffcaf6e16dcfc5a6153a344d747a9a14ef8",
+    "scheme2-static": "7d557dc0da16fa3abcca7ca94dd405179d3363b10cc8a164062668c88171a393",
 }
 
 
