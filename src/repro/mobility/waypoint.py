@@ -5,6 +5,10 @@ toward a uniformly chosen destination at a fixed speed (3 m/s in the paper;
 the classic model draws speeds from a range — pass ``speed_range`` for
 that).  Legs are generated lazily from the node's own RNG stream, so the
 trajectory is reproducible and independent of every other random consumer.
+
+Simulated time always advances along the walk: a move leg at zero speed, or
+one that takes no time while ``pause_s`` is 0, leaves the node where it
+stands for good instead of drawing leg after leg at one instant.
 """
 
 from __future__ import annotations
@@ -84,12 +88,16 @@ class RandomWaypoint(MobilityModel):
             self._p1 = dest
             self._t0 = self._t1
             dist = math.hypot(dest[0] - self._p0[0], dest[1] - self._p0[1])
-            if speed <= 0.0:
-                # Degenerate config: the node never actually moves.
+            if speed > 0.0:
+                self._t1 = self._t0 + dist / speed
+            if speed <= 0.0 or (self._t1 == self._t0 and self._cfg.pause_s == 0.0):
+                # Degenerate leg: the node never actually moves.  Either it
+                # stands still, or the leg takes no time (a destination on
+                # the spot, or a trip that rounds away against ``t0``) and
+                # no pause follows, so the walk would draw leg after leg at
+                # one instant and simulated time would never advance.
                 self._p1 = self._p0
                 self._t1 = math.inf
-            else:
-                self._t1 = self._t0 + dist / speed
             self._paused = False
         else:
             # Arrived: pause at the destination (paper: 3 seconds).

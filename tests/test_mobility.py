@@ -293,8 +293,7 @@ class _Draws:
 
     Repeated fractions send a node to the waypoint it already stands on (a
     zero-length leg); fraction 0 of a ``speed_range`` starting at 0 draws a
-    standing speed.  The seeded tail keeps a zero pause from chaining
-    zero-length legs forever.
+    standing speed.
     """
 
     def __init__(self, fractions):
@@ -311,6 +310,69 @@ _STEPS = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
     st.floats(min_value=0.0, max_value=4.0),
 )
+
+
+class _Repeating:
+    """Stand-in generator: ``uniform(lo, hi)`` cycles through fractions of
+    its interval for ever, after an optional scripted prefix.  It refuses to
+    draw more than ``limit`` values, so a walk that spins at one instant
+    fails the test instead of hanging it."""
+
+    def __init__(self, cycle, prefix=(), limit=1000):
+        self._prefix = list(prefix)
+        self._cycle = list(cycle)
+        self._i = 0
+        self._left = limit
+
+    def uniform(self, lo, hi):
+        self._left -= 1
+        assert self._left >= 0, "the walk drew legs without advancing time"
+        if self._prefix:
+            frac = self._prefix.pop(0)
+        else:
+            frac = self._cycle[self._i % len(self._cycle)]
+            self._i += 1
+        return lo + (hi - lo) * frac
+
+
+class TestZeroLegs:
+    """Simulated time always advances: a walk whose new legs take no time
+    under a zero pause holds its node still instead of looping."""
+
+    def test_repeated_waypoint_with_zero_pause_holds_still(self):
+        cfg = MobilityConfig(speed_mps=3.0, pause_s=0.0,
+                             field_width_m=8.0, field_height_m=6.0)
+        # Every destination is the centre, where the node already stands.
+        m = RandomWaypoint(_Repeating([0.5]), cfg, (4.0, 3.0))
+        assert m.poll(5.0) == ((4.0, 3.0), 0)
+        assert m.still_until(5.0) == math.inf
+        assert m.position_at(1e9) == (4.0, 3.0)
+
+    def test_trips_that_round_away_hold_still(self):
+        # A first trip at 1e-18 m/s ends near t = 1e19 s; from there every
+        # 10 m trip at 10 m/s takes 1 s, less than half an ulp of t0.
+        cfg = MobilityConfig(speed_mps=3.0, pause_s=0.0,
+                             field_width_m=10.0, field_height_m=10.0)
+        m = RandomWaypoint(
+            _Repeating([0.0, 0.0, 1.0, 1.0, 0.0, 1.0], prefix=[1.0, 0.0, 0.0]),
+            cfg, (0.0, 0.0), speed_range=(1e-18, 10.0),
+        )
+        arrival = 10.0 / 1e-18
+        assert m.position_at(arrival / 2) == (5.0, 0.0)
+        assert m.position_at(2 * arrival) == (10.0, 0.0)
+        assert m.still_until(2 * arrival) == math.inf
+
+    def test_zero_length_leg_before_a_pause_keeps_the_walk(self):
+        # With a positive pause a zero-length leg is harmless: the pause
+        # advances time and the next trip is drawn as before.
+        cfg = MobilityConfig(speed_mps=1.0, pause_s=1.0,
+                             field_width_m=8.0, field_height_m=6.0)
+        m = RandomWaypoint(
+            _Repeating([0.0], prefix=[0.5, 0.5]), cfg, (4.0, 3.0)
+        )
+        assert m.position_at(1.5) == (4.0, 3.0)  # the zero-length leg
+        assert m.still_until(1.5) == 2.0  # then its pause
+        assert m.position_at(2.0 + 2.5) == (2.0, 1.5)  # halfway to (0, 0)
 
 
 class TestStillUntil:
