@@ -113,6 +113,10 @@ class PhyConfig:
             raise ValueError("power_levels_w must be non-empty")
         if list(self.power_levels_w) != sorted(self.power_levels_w):
             raise ValueError("power_levels_w must be ascending")
+        if not self.rx_threshold_w > 0:
+            raise ValueError(
+                f"rx_threshold_w must be positive, got {self.rx_threshold_w!r}"
+            )
         if self.rx_threshold_w <= self.cs_threshold_w:
             raise ValueError(
                 "rx_threshold_w must exceed cs_threshold_w "

@@ -33,6 +33,9 @@ from repro.phy.radio import Radio
 from repro.sim.kernel import Simulator
 from repro.sim.trace import NULL_TRACER, Tracer
 
+#: Compared by identity per received frame (cheaper than ``FrameType.PCN``).
+_PCN = FrameType.PCN
+
 
 class ControlChannelAgent:
     """PCN broadcaster + listener bound to one node's control radio."""
@@ -154,7 +157,7 @@ class ControlChannelAgent:
             self.stats["pcn_lost"] += 1
             return
         frame = phy_frame.payload
-        if not isinstance(frame, MacFrame) or frame.ftype != FrameType.PCN:
+        if not isinstance(frame, MacFrame) or frame.ftype is not _PCN:
             return
         if frame.src == self.node_id:
             return

@@ -37,8 +37,8 @@ from repro.config import (
 from repro.core.control_channel import ControlChannelAgent
 from repro.core.handshake import ReceivedTable, SentTable
 from repro.core.noise_tolerance import noise_tolerance_w
-from repro.mac.base import DcfMac, _TxAttempt
-from repro.mac.frames import FrameType, MacFrame
+from repro.mac.base import _DATA, DcfMac, _TxAttempt
+from repro.mac.frames import MacFrame
 from repro.mac.ifqueue import QueuedPacket
 from repro.phy.channel import Channel
 from repro.phy.frame import PhyFrame
@@ -219,22 +219,26 @@ class PcmacMac(DcfMac):
     # -------------------------------------------------------- control channel
 
     def on_rx_start(self, phy_frame: PhyFrame) -> None:
-        """Step 5: announce the noise tolerance when a DATA for us begins."""
+        """Step 5: announce the noise tolerance when a DATA for us begins.
+
+        Runs at every lock; the common case (not a DATA for this node)
+        returns after two field reads.
+        """
         frame = phy_frame.payload
         if not isinstance(frame, MacFrame):
             return
-        if frame.ftype != FrameType.DATA or frame.dst != self.node_id:
+        if frame.ftype is not _DATA or frame.dst != self.node_id:
             return
         if getattr(frame.packet, "kind", "data") != "data":
             return  # the paper announces tolerance for data receptions only
-        signal = self.radio.lock_power_w
-        end = self.radio.lock_end_time
-        if signal is None or end is None:
+        radio = self.radio
+        lock = radio._lock
+        if lock is None:
             return
         tolerance = noise_tolerance_w(
-            signal, self.radio.interference_w, self.phy_cfg.capture_threshold
+            lock.power_w, radio.interference_w, self.phy_cfg.capture_threshold
         )
-        self.control.announce_reception(tolerance, end)
+        self.control.announce_reception(tolerance, lock.end_time)
 
     # ----------------------------------------------------------- routing hooks
 

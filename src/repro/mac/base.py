@@ -42,11 +42,11 @@ from repro.mac.backoff import BackoffEngine
 from repro.mac.frames import BROADCAST, FrameType, MacFrame
 from repro.mac.ifqueue import IfQueue, QueuedPacket
 from repro.mac.nav import Nav
-from repro.mac.power_history import PowerHistoryTable
+from repro.mac.power_history import PowerHistoryTable, PowerRecord
 from repro.mac.timing import MacTiming
 from repro.phy.channel import Channel
 from repro.phy.frame import PhyFrame
-from repro.phy.power import PowerLevelTable, needed_tx_power
+from repro.phy.power import PowerLevelTable
 from repro.phy.radio import Radio
 from repro.sim.kernel import Simulator
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -130,6 +130,19 @@ class MacState(enum.Enum):
     WAIT_CTS = "wait_cts"
     SEND_DATA = "send_data"
     WAIT_ACK = "wait_ack"
+
+
+# Enum members as module constants, compared by identity on the per-frame
+# paths: a module global is one dict lookup, ``FrameType.RTS`` an
+# ``EnumType`` attribute lookup several times dearer.
+_RTS = FrameType.RTS
+_CTS = FrameType.CTS
+_DATA = FrameType.DATA
+_ACK = FrameType.ACK
+_CONTEND = MacState.CONTEND
+_WAIT_CTS = MacState.WAIT_CTS
+_SEND_DATA = MacState.SEND_DATA
+_WAIT_ACK = MacState.WAIT_ACK
 
 
 @dataclass
@@ -219,6 +232,10 @@ class DcfMac:
         self.backoff = BackoffEngine(mac_cfg.cw_min, mac_cfg.cw_max, rng)
         self.ifq = IfQueue(mac_cfg.ifq_capacity)
         self.history = PowerHistoryTable(self.power_cfg.history_expiry_s)
+        #: ``needed_tx_power``'s numerator (decode threshold x margin), taken
+        #: once from the frozen configs: ``on_rx_end`` refreshes the history
+        #: with ``_needed_num / (rx / tx)``, that function's exact operations.
+        self._needed_num = phy_cfg.rx_threshold_w * self.power_cfg.decode_margin
 
         radio.listener = self
 
@@ -489,24 +506,32 @@ class DcfMac:
         self.backoff.draw()
         self._schedule_access()
 
-    def _radio_blocked(self) -> bool:
-        return self.radio.carrier_busy or self._responding
-
     def _schedule_access(self) -> None:
-        """(Re)arm the defer+backoff countdown if conditions permit."""
-        if self._current is None or self._state != MacState.CONTEND:
+        """(Re)arm the defer+backoff countdown if conditions permit.
+
+        Runs on every carrier-idle edge and NAV change while contending, so
+        it reads the fields behind ``timer.armed``, ``radio.carrier_busy``
+        and ``nav.busy_at`` directly.
+        """
+        if self._current is None or self._sender_state is not _CONTEND:
             return
         timer = self._access_timer
-        if timer.armed:
+        if timer._event is not None:
             return
-        if self._radio_blocked():
+        radio = self.radio
+        if (
+            radio._tx_frame is not None
+            or radio._total_power_w >= radio.cs_threshold_w
+            or self._responding
+        ):
             return  # carrier-idle / responder-done callbacks re-enter
-        now = self.sim.now
-        if self.nav.busy_at(now):
+        now = self.sim._now
+        nav_until = self.nav._until
+        if now < nav_until:
             self._access_is_countdown = False
-            timer.arm_at(self.nav.until, label="mac.nav_wake")
+            timer.arm_at(nav_until, label="mac.nav_wake")
             return
-        defer = self.timing.eifs if self.radio.eifs_due else self.timing.difs
+        defer = self.timing.eifs if radio.eifs_due else self.timing.difs
         slots = self.backoff.draw()
         self._countdown_defer_end = now + defer
         self._access_is_countdown = True
@@ -525,11 +550,11 @@ class DcfMac:
     def _pause_access(self) -> None:
         """Freeze the countdown, banking fully elapsed backoff slots."""
         timer = self._access_timer
-        if not timer.armed:
+        if timer._event is None:
             return
         timer.cancel()
         if self._access_is_countdown:
-            elapsed = self.sim.now - self._countdown_defer_end
+            elapsed = self.sim._now - self._countdown_defer_end
             if elapsed > 0 and self.backoff.pending:
                 self.backoff.consume(int(elapsed / self.timing.slot + _SLOT_EPS))
 
@@ -666,12 +691,13 @@ class DcfMac:
     def on_tx_end(self, phy_frame: PhyFrame) -> None:
         """Radio callback: our own transmission finished."""
         frame: MacFrame = phy_frame.payload
-        if frame.ftype == FrameType.RTS:
+        ftype = frame.ftype
+        if ftype is _RTS:
             self._cts_timer.arm_in(self.timing.cts_timeout)
-        elif frame.ftype == FrameType.CTS:
+        elif ftype is _CTS:
             self._resp_watchdog.arm_in(self.timing.sifs + self.phy_cfg.plcp_overhead_s
                                        + 4 * self.mac_cfg.timeout_slack_s)
-        elif frame.ftype == FrameType.DATA:
+        elif ftype is _DATA:
             if self._substitute_in_flight:
                 # A PCMAC implicit-ACK retransmission finished; the fresh
                 # packet is still current and re-contends for the medium.
@@ -684,14 +710,14 @@ class DcfMac:
                 # Three-way handshake: hand-off complete; recovery, if any,
                 # rides on the next CTS (paper Section III).
                 self._complete_current(success=True)
-        elif frame.ftype == FrameType.ACK:
+        elif ftype is _ACK:
             self._finish_responding()
         self._schedule_access()
 
     # --------------------------------------------------------------- timers
 
     def _on_cts_timeout(self, _payload: Any = None) -> None:
-        if self._state != MacState.WAIT_CTS or self._current is None:
+        if self._sender_state is not _WAIT_CTS or self._current is None:
             return
         self.stats.cts_timeouts += 1
         attempt = self._current
@@ -706,7 +732,7 @@ class DcfMac:
         self._schedule_access()
 
     def _on_ack_timeout(self, _payload: Any = None) -> None:
-        if self._state != MacState.WAIT_ACK or self._current is None:
+        if self._sender_state is not _WAIT_ACK or self._current is None:
             return
         self.stats.ack_timeouts += 1
         attempt = self._current
@@ -752,56 +778,67 @@ class DcfMac:
     # =================================================================
 
     def on_rx_end(self, phy_frame: PhyFrame, ok: bool, rx_power_w: float) -> None:
-        """Radio callback: a locked frame finished (EIFS debt already set)."""
+        """Radio callback: a locked frame finished (EIFS debt already set).
+
+        Runs once per decoded frame at every receiver, so the power-history
+        refresh and the NAV update are written out here rather than called.
+        """
         if not ok:
             return
         frame: MacFrame = phy_frame.payload
         if not isinstance(frame, MacFrame):
             return
+        now = self.sim._now
+        src = frame.src
+        node_id = self.node_id
         # Every decodable frame that advertises its power refreshes the
-        # power history table (paper Section III).
-        if frame.tx_power_w > 0 and frame.src != self.node_id:
-            self._learn_power(frame.src, frame.tx_power_w, rx_power_w)
+        # power history table (paper Section III): ``gain = rx / tx`` and
+        # ``needed_tx_power``'s ``threshold * margin / gain``.  Both are
+        # positive: a locked frame's SINR cleared the capture threshold
+        # (>= 1), and PhyConfig keeps the decode threshold positive.
+        tx_power_w = frame.tx_power_w
+        if tx_power_w > 0 and src != node_id:
+            gain = rx_power_w / tx_power_w
+            self.history._records[src] = PowerRecord(
+                self._needed_num / gain, gain, now
+            )
 
-        if frame.dst == self.node_id:
-            if frame.ftype == FrameType.RTS:
+        ftype = frame.ftype
+        dst = frame.dst
+        if dst == node_id:
+            if ftype is _RTS:
                 self._handle_rts(frame, rx_power_w)
-            elif frame.ftype == FrameType.CTS:
+            elif ftype is _CTS:
                 self._handle_cts(frame, rx_power_w)
-            elif frame.ftype == FrameType.DATA:
+            elif ftype is _DATA:
                 self._handle_data(frame, rx_power_w)
-            elif frame.ftype == FrameType.ACK:
+            elif ftype is _ACK:
                 self._handle_ack(frame)
-        elif frame.is_broadcast and frame.ftype == FrameType.DATA:
+        elif dst == BROADCAST and ftype is _DATA:
             self.stats.data_delivered_up += 1
-            self.deliver_up(frame.packet, frame.src)
+            self.deliver_up(frame.packet, src)
         else:
-            # Overheard unicast traffic: honour its NAV reservation.
-            self._nav_update(self.sim.now + frame.duration_s)
-
-    def _learn_power(self, src: int, tx_power_w: float, rx_power_w: float) -> None:
-        needed = needed_tx_power(
-            rx_power_w,
-            tx_power_w,
-            self.phy_cfg.rx_threshold_w,
-            margin=self.power_cfg.decode_margin,
-        )
-        gain = rx_power_w / tx_power_w
-        self.history.update(src, needed, gain, self.sim.now)
-
-    def _nav_update(self, until: float) -> None:
-        if self.nav.set(until) and self.nav.busy_at(self.sim.now):
-            self._pause_access()
-            self._schedule_access()
+            # Overheard unicast traffic: honour its NAV reservation.  The
+            # NAV only ever grows; a grown NAV that is busy now freezes the
+            # countdown and re-arms access at its end.  The access timer is
+            # armed only in CONTEND, so outside it there is nothing to do.
+            until = now + frame.duration_s
+            nav = self.nav
+            if until > nav._until:
+                nav._until = until
+                if now < until and self._sender_state is _CONTEND:
+                    self._pause_access()
+                    self._schedule_access()
 
     # ------------------------------------------------------------- responder
 
     def _handle_rts(self, rts: MacFrame, rx_power_w: float) -> None:
-        if self._state in (MacState.WAIT_CTS, MacState.WAIT_ACK, MacState.SEND_DATA):
+        state = self._sender_state
+        if state is _WAIT_CTS or state is _WAIT_ACK or state is _SEND_DATA:
             return  # mid-exchange as sender; cannot respond
-        if self._responding or self.radio.transmitting:
+        if self._responding or self.radio._tx_frame is not None:
             return
-        if self.nav.busy_at(self.sim.now):
+        if self.sim._now < self.nav._until:
             return  # virtual carrier sense forbids the CTS
         cts_power = self.power_for_cts(rts, rx_power_w)
         if cts_power <= 0:
@@ -873,7 +910,7 @@ class DcfMac:
     # --------------------------------------------------------------- sender RX
 
     def _handle_cts(self, cts: MacFrame, rx_power_w: float) -> None:
-        if self._state != MacState.WAIT_CTS or self._current is None:
+        if self._sender_state is not _WAIT_CTS or self._current is None:
             return
         attempt = self._current
         if cts.src != attempt.entry.next_hop:
@@ -886,7 +923,7 @@ class DcfMac:
 
     def _send_data_after_cts(self, cts: MacFrame) -> None:
         attempt = self._current
-        if attempt is None or self._state != MacState.SEND_DATA:
+        if attempt is None or self._sender_state is not _SEND_DATA:
             return
         entry = attempt.entry
 
@@ -951,7 +988,7 @@ class DcfMac:
         return power
 
     def _handle_ack(self, ack: MacFrame) -> None:
-        if self._state != MacState.WAIT_ACK or self._current is None:
+        if self._sender_state is not _WAIT_ACK or self._current is None:
             return
         if ack.src != self._current.entry.next_hop:
             return

@@ -27,10 +27,13 @@ These inline rules are the ``null`` reception model.  A scenario whose
 :class:`~repro.phy.reception.sinr.SinrReceiver` on :attr:`Radio.reception`,
 which then owns every decode decision (preamble sync windows, mid-sync
 capture, typed loss reasons) while the radio keeps the interference ledger,
-carrier-sense edges and TX bookkeeping.  The default is ``None`` with a
-single ``is not None`` check per signal edge — the ``power_meter`` /
-``faults`` opt-in precedent — so null-reception runs are bit-identical to
-builds that predate the slot.
+carrier-sense edges and TX bookkeeping.  The radio hands the receiver every
+leading edge (``on_arrival``) but only the locked frame's trailing edge
+(``on_departure``): any other departure lowers the interference sum, which
+cannot hurt the lock, and its frame was classified when it arrived.  The
+default is ``None`` with a single ``is not None`` check per leading edge
+and per lock completion — the ``power_meter`` / ``faults`` opt-in precedent
+— so null-reception runs are bit-identical to builds that predate the slot.
 
 Interference ledger: ``_arrivals`` maps each in-flight frame id to its
 received power, nothing more.  The :class:`_Arrival` record (frame, power,
@@ -556,12 +559,14 @@ class Radio:
             # Kill accumulated float drift whenever the air goes quiet.
             self._total_power_w = 0.0
 
-        reception = self.reception
-        if reception is not None:
-            reception.on_departure(frame_id)
-        else:
-            lock = self._lock
-            if lock is not None and lock.frame.frame_id == frame_id:
+        lock = self._lock
+        if lock is not None and lock.frame.frame_id == frame_id:
+            # Only the lock's trailing edge can finish a decode: any other
+            # departure lowers the interference sum, which cannot hurt it.
+            reception = self.reception
+            if reception is not None:
+                reception.on_departure(frame_id)
+            else:
                 self._complete_lock(
                     lock, not self._lock_corrupted and self._tx_frame is None
                 )

@@ -26,7 +26,11 @@ TX-deaf    the radio transmits; every arrival is undecodable here
 Decode success therefore means: the frame's SINR met the capture threshold
 at its leading edge and at every interference change across its airtime —
 exactly the "worst-interval SINR" rule, evaluated lazily at signal edges so
-the receiver schedules **no events of its own**.
+the receiver schedules **no events of its own**.  A departure can only
+lower the interference, so the radio calls :meth:`SinrReceiver.on_arrival`
+for every leading edge but :meth:`SinrReceiver.on_departure` only for the
+locked frame's own trailing edge; every other departure just lowers the
+radio's interference sum.
 
 Every arrival is classified exactly once — decoded, or dropped with a typed
 reason from :data:`~repro.phy.reception.plan.DROP_REASONS` — counted in
@@ -112,7 +116,12 @@ class SinrReceiver:
     # ----------------------------------------------------------- radio hooks
 
     def on_arrival(self, frame: "PhyFrame", power_w: float) -> None:
-        """A signal's leading edge reached the radio (power already booked)."""
+        """A signal's leading edge reached the radio (power already booked).
+
+        The sync test is ``radio.sinr_of(power_w) >= capture_threshold``,
+        written out: it runs for every decodable arrival at an idle
+        receiver.
+        """
         radio = self.radio
 
         if power_w < self.rx_sensitivity_w:
@@ -127,42 +136,56 @@ class SinrReceiver:
             self._drop(frame, power_w, DROP_COLLISION)
             return
 
+        # An idle receiver syncs onto an arrival that clears the capture
+        # threshold.  An occupied one in its preamble window is captured by
+        # one that clears it against *everything* on air (the lock
+        # included); past the preamble the lock is immutable and the
+        # newcomer can only do damage.
+        now = radio.sim._now
         lock = radio._lock
+        syncs = False
+        if lock is None or now < self._sync_until:
+            other = radio._total_power_w - power_w
+            if other < 0.0:
+                other = 0.0
+            noise = radio._noise_w
+            if noise is None:
+                noise = radio.noise.noise_w()
+            syncs = power_w / (noise + other) >= self.capture_threshold
         if lock is None:
-            if radio.sinr_of(power_w) >= self.capture_threshold:
-                self._acquire(frame, power_w)
-            else:
+            if not syncs:
                 # Decodable power, drowned at its leading edge.
                 radio.stats["rx_unlockable"] += 1
                 radio._busy_last_decode = False
                 self._drop(frame, power_w, DROP_COLLISION)
-            return
-
-        # Receiver occupied.  During preamble sync a new arrival that clears
-        # the capture threshold against *everything* on air (the lock
-        # included) steals the receiver; past the preamble the lock is
-        # immutable and the newcomer can only do damage.
-        if (
-            radio.sim.now < self._sync_until
-            and radio.sinr_of(power_w) >= self.capture_threshold
-        ):
+                return
+        elif syncs:
             self._drop(lock.frame, lock.power_w, DROP_CAPTURE_LOST)
             self._release_lock()
-            self._acquire(frame, power_w)
+        else:
+            radio.stats["rx_unlockable"] += 1
+            self._drop(frame, power_w, DROP_COLLISION)
+            self._recheck_lock()
             return
 
-        radio.stats["rx_unlockable"] += 1
-        self._drop(frame, power_w, DROP_COLLISION)
-        self._recheck_lock()
+        # Sync: lock onto the newcomer.
+        radio._lock = _Arrival(frame, power_w, now + frame.duration_s)
+        radio._lock_corrupted = False
+        self._sync_until = now + frame.plcp_s
+        meter = radio.power_meter
+        if meter is not None:
+            meter.note_rx()
+        radio.listener.on_rx_start(frame)
 
     def on_departure(self, frame_id: int) -> None:
-        """A signal's trailing edge passed (power already released)."""
+        """The locked frame's trailing edge passed (power already released).
+
+        The radio calls this only for the lock's own edge: every other
+        arrival was classified at its leading edge, and a falling
+        interference sum can only improve the lock's SINR.
+        """
         radio = self.radio
         lock = radio._lock
-        if lock is None or lock.frame.frame_id != frame_id:
-            # Non-lock arrivals were classified at their leading edge, and
-            # a falling interference sum can only improve the lock's SINR.
-            return
         ok = not radio._lock_corrupted
         if not ok:
             self._drop(lock.frame, lock.power_w, DROP_COLLISION)
@@ -186,17 +209,6 @@ class SinrReceiver:
 
     # ------------------------------------------------------------- internals
 
-    def _acquire(self, frame: "PhyFrame", power_w: float) -> None:
-        radio = self.radio
-        now = radio.sim.now
-        radio._lock = _Arrival(frame, power_w, now + frame.duration_s)
-        radio._lock_corrupted = False
-        self._sync_until = now + frame.plcp_s
-        meter = radio.power_meter
-        if meter is not None:
-            meter.note_rx()
-        radio.listener.on_rx_start(frame)
-
     def _release_lock(self) -> None:
         radio = self.radio
         radio._lock = None
@@ -214,7 +226,7 @@ class SinrReceiver:
             return
         if radio.sinr_of(lock.power_w) >= self.capture_threshold:
             return
-        if radio.sim.now < self._sync_until:
+        if radio.sim._now < self._sync_until:
             # Preamble sync broken before the receiver latched: abandon the
             # lock entirely — the receiver returns to IDLE (it cannot
             # re-sync onto frames whose preambles have already passed).
@@ -233,7 +245,7 @@ class SinrReceiver:
         tr.count += 1
         if tr.store:
             tr.record(
-                radio.sim.now,
+                radio.sim._now,
                 radio.node_id,
                 frame=frame.frame_id,
                 src=frame.src,

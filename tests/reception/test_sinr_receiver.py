@@ -230,3 +230,73 @@ class TestOrderInvariance:
         order = data.draw(st.permutations(range(len(powers))))
         assert self.decoded(powers, order) == baseline
         assert len(baseline) <= 1  # capture_threshold >= 1: one winner max
+
+
+class _CountingReceiver(SinrReceiver):
+    """A receiver that logs the frame id of every ``on_departure`` call."""
+
+    __slots__ = ("departures",)
+
+    def __init__(self, radio, plan):
+        super().__init__(radio, plan)
+        self.departures = []
+
+    def on_departure(self, frame_id):
+        self.departures.append(frame_id)
+        super().on_departure(frame_id)
+
+
+class TestDepartures:
+    """The radio hands the receiver only the lock's own trailing edge."""
+
+    @staticmethod
+    def counting_radio(sim):
+        radio = make_radio(sim, 0, (0.0, 0.0))
+        radio.listener = Listener()
+        radio.reception = _CountingReceiver(
+            radio, ReceptionPlan(capture_threshold=CAPTURE, rx_sensitivity_w=RX)
+        )
+        return radio
+
+    def test_only_the_lock_edge_reaches_the_receiver(self, sim):
+        radio = self.counting_radio(sim)
+        lock, weak, faint = frame(src=1), frame(src=2), frame(src=3)
+        radio.signal_start(lock, RX * 1000)
+        radio.signal_start(weak, RX * 10)  # decodable power, receiver busy
+        radio.signal_start(faint, RX * 0.5)  # below sensitivity
+        radio.signal_end(weak.frame_id)
+        radio.signal_end(faint.frame_id)
+        assert radio.reception.departures == []
+        radio.signal_end(lock.frame_id)
+        assert radio.reception.departures == [lock.frame_id]
+        assert radio.listener.of("rx_end") == [("rx_end", lock.frame_id, True)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        exponents=st.lists(
+            st.integers(min_value=-2, max_value=12), min_size=1, max_size=6
+        ),
+        data=st.data(),
+    )
+    def test_non_lock_edges_change_nothing(self, exponents, data):
+        """Any trailing edge other than the lock's leaves the lock, its
+        corruption flag and every drop counter as they were."""
+        sim = Simulator()
+        radio = self.counting_radio(sim)
+        frames = [frame(src=i + 1) for i in range(len(exponents))]
+        for f, e in zip(frames, exponents):
+            radio.signal_start(f, RX * (2.0**e))
+        order = data.draw(st.permutations(range(len(frames))))
+        for i in order:
+            fid = frames[i].frame_id
+            lock = radio._lock
+            if lock is not None and lock.frame.frame_id == fid:
+                radio.signal_end(fid)
+                assert radio.reception.departures[-1] == fid
+                continue
+            before = (lock, radio._lock_corrupted, dict(radio.reception.drops),
+                      len(radio.reception.departures))
+            radio.signal_end(fid)
+            assert (radio._lock, radio._lock_corrupted,
+                    dict(radio.reception.drops),
+                    len(radio.reception.departures)) == before

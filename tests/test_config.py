@@ -36,6 +36,13 @@ class TestPhyConfig:
         with pytest.raises(ValueError):
             PhyConfig(capture_threshold=0.5)
 
+    @pytest.mark.parametrize("rx", [0.0, -1e-10, float("nan")])
+    def test_rejects_non_positive_rx_threshold(self, rx):
+        # The MAC divides the decode threshold by the gain of every decoded
+        # frame: the power it records must come out positive.
+        with pytest.raises(ValueError, match="rx_threshold_w must be positive"):
+            PhyConfig(rx_threshold_w=rx, cs_threshold_w=-1.0)
+
 
 class TestMacConfig:
     def test_difs_derivation(self):
