@@ -1,4 +1,4 @@
-"""Result fingerprints: nine short cells pinned to the exact bytes they produce.
+"""Result fingerprints: ten short cells pinned to the exact bytes they produce.
 
 The differential suite compares two builds of the *same* code, so a change
 made to both sides passes it.  These cells compare against the past
@@ -7,8 +7,10 @@ instead: each one's full :class:`~repro.metrics.ExperimentResult`, minus
 the same recipe as ``bench/workloads.py::fingerprint``) and pinned below.
 
 Between them the cells cover all four MACs (basic, Scheme 1, Scheme 2 and
-PCMAC), the SINR receiver under basic and PCMAC, random waypoint mobility, crash/rejoin churn, injected corruption with link fades
-and noise bursts, and battery energy with node deaths.  A change that is
+PCMAC), the SINR receiver under basic and PCMAC, random waypoint mobility,
+crash/rejoin churn, injected corruption with link fades and noise bursts,
+battery energy with node deaths, and multi-hop static routing whose flows
+have several equal-length shortest paths (so the next-hop tie-break shows).  A change that is
 meant to keep results bit-identical must leave every hash alone; a change
 that is allowed to move results updates the hashes on purpose, in the same
 commit, saying why.
@@ -38,7 +40,7 @@ def _spec(mac: str, cfg: dict, **components) -> dict:
 _STATIC_FIELD = {"speed_mps": 0.0, "field_width_m": 600.0,
                  "field_height_m": 600.0}
 
-#: label -> scenario spec dict (all nine run in under 2 s).
+#: label -> scenario spec dict (all ten run in under 2 s).
 CELLS: dict[str, dict] = {
     "basic-static": _spec(
         "basic",
@@ -127,6 +129,15 @@ CELLS: dict[str, dict] = {
         mobility={"name": "static", "params": {}},
         energy={"name": "wavelan", "params": {"battery_j": 3.0}},
     ),
+    "pcmac-static-routing": _spec(
+        "pcmac",
+        {"node_count": 20, "duration_s": 3.0, "seed": 3,
+         "traffic": {"flow_count": 6, "offered_load_bps": 600000.0},
+         "mobility": {"speed_mps": 0.0, "field_width_m": 900.0,
+                      "field_height_m": 900.0}},
+        mobility={"name": "static", "params": {}},
+        routing={"name": "static", "params": {}},
+    ),
 }
 
 #: label -> SHA-256 of the canonical result JSON (see the module docstring).
@@ -138,6 +149,7 @@ FINGERPRINTS: dict[str, str] = {
     "pcmac-scripted-corruption": "5561c4184b350f1d805dade6bf1a5fd3a65f825030cbc402745be5d9153a60fb",
     "pcmac-sinr-cluster": "ec78587562ef30e3e9b1245bbf03b747ffc4700268624c237611e9e8643a8d4a",
     "pcmac-static": "2c4265430546ed0b63263f13d80b2a6755f90e7aa6f38a5c8e268c5afccd1693",
+    "pcmac-static-routing": "da8b7450ff4f13693170ba04cb5e3bf707f5e784d80f5a81b3f4c30df227c831",
     "scheme1-static": "ed0859fd1fc73dc50808eb9d84fbeffcaf6e16dcfc5a6153a344d747a9a14ef8",
     "scheme2-static": "7d557dc0da16fa3abcca7ca94dd405179d3363b10cc8a164062668c88171a393",
 }
