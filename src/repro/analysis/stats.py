@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
 
 def mean_confidence_interval(
     values: Sequence[float], confidence: float = 0.95
@@ -33,6 +31,9 @@ def mean_confidence_interval(
     if var == 0.0:
         return mean, 0.0
     sem = math.sqrt(var / n)
+    # Deferred: importing scipy would cost every CLI and worker process.
+    from scipy import stats as _scipy_stats
+
     tcrit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return mean, tcrit * sem
 
@@ -60,6 +61,8 @@ def compare_series(
     if any(r == 0 for r in ref):
         raise ValueError("reference series must be non-zero")
     if len(mea) >= 2:
+        from scipy import stats as _scipy_stats
+
         rho = float(_scipy_stats.spearmanr(mea, ref).statistic)
         if math.isnan(rho):
             rho = 1.0 if mea == sorted(mea) else 0.0

@@ -36,8 +36,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from scipy import stats as _scipy_stats
-
 from repro.analysis.stats import mean_confidence_interval
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import RunSpec
@@ -130,6 +128,8 @@ def _welch_t(a: Sequence[float], b: Sequence[float]) -> float:
     """Welch's t statistic (0 for degenerate/zero-variance inputs)."""
     if len(a) < 2 or len(b) < 2:
         return 0.0
+    from scipy import stats as _scipy_stats  # deferred, as in repro.analysis.stats
+
     t = float(_scipy_stats.ttest_ind(a, b, equal_var=False).statistic)
     # Identical per-seed throughputs (common below saturation) give scipy
     # a 0/0 → nan; report that as "no detectable difference".

@@ -927,7 +927,7 @@ class DcfMac:
             return
         entry = attempt.entry
 
-        data_power = self._data_power(entry.next_hop, cts)
+        data_power = self.power_for_data(entry.next_hop, cts)
         delay_until = self.admission_delay_data(data_power)
         if delay_until is not None:
             # Paper Step 4: the collision computation is repeated before the
@@ -948,7 +948,7 @@ class DcfMac:
             frame = attempt.substitute
             attempt.substitute = None
             frame = frame.clone_for_retry()
-            frame.tx_power_w = self._data_power(entry.next_hop, cts)
+            frame.tx_power_w = data_power
             self.stats.implicit_retransmits += 1
             self.stats.data_sent += 1
             self._state = MacState.CONTEND
@@ -969,7 +969,7 @@ class DcfMac:
             dst=entry.next_hop,
             size_bytes=packet.size_bytes + self.mac_cfg.data_overhead,
             duration_s=self.timing.data_duration(with_ack=needs_ack),
-            tx_power_w=self._data_power(entry.next_hop, cts),
+            tx_power_w=data_power,
             packet=packet,
             seq=attempt.seq,
             retry=attempt.long_retries > 0,
@@ -982,10 +982,6 @@ class DcfMac:
         if needs_ack:
             self._state = MacState.WAIT_ACK
         self._transmit_frame(frame, self.phy_cfg.data_rate_bps)
-
-    def _data_power(self, next_hop: int, cts: MacFrame | None) -> float:
-        power = self.power_for_data(next_hop, cts)
-        return power
 
     def _handle_ack(self, ack: MacFrame) -> None:
         if self._sender_state is not _WAIT_ACK or self._current is None:

@@ -1,31 +1,52 @@
 """Static shortest-path routing for controlled (immobile) experiments.
 
-Routes are precomputed over the maximum-power connectivity graph with
-networkx and never change.  This removes routing dynamics from experiments
+Routes follow hop-count shortest paths over the maximum-power connectivity
+graph and never change.  This removes routing dynamics from experiments
 that study pure MAC behaviour (the paper's Figure 1/4/6 scenarios and several
 tests), at the cost of being wrong under mobility — use AODV there.
+
+Each source's next-hop table is a breadth-first search over the adjacency
+lists, run the first time that source routes and shared by every node's
+view.  Among equal-length paths the search keeps the one found first, so
+neighbour order is the tie-break; :meth:`StaticRouting.from_positions`
+lists neighbours in ascending node id, which gives the same next hops as
+``networkx.all_pairs_shortest_path`` over the same disc graph.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from collections.abc import Mapping, Sequence
 
 from repro.net.packet import Packet
 from repro.net.routing_base import RoutingProtocol
 
 
-class StaticRouting(RoutingProtocol):
-    """Fixed next-hop tables from a precomputed connectivity graph."""
+def _next_hops(adjacency: Mapping[int, Sequence[int]], src: int) -> dict[int, int]:
+    """``{dst: first hop}`` of a breadth-first search from ``src``."""
+    first = {src: src}
+    order = [src]
+    for v in order:  # appended while iterated: a FIFO queue
+        hop = first[v]
+        for w in adjacency.get(v, ()):
+            if w not in first:
+                first[w] = w if v == src else hop
+                order.append(w)
+    del first[src]
+    return first
 
-    def __init__(self, graph: nx.Graph) -> None:
-        self._graph = graph
-        self._next_hop: dict[tuple[int, int], int] = {}
+
+class StaticRouting(RoutingProtocol):
+    """Fixed next-hop tables over a connectivity graph.
+
+    ``adjacency`` maps every node to its neighbours, in the order the
+    breadth-first search visits them.
+    """
+
+    def __init__(self, adjacency: Mapping[int, Sequence[int]]) -> None:
+        self._adjacency = adjacency
+        self._tables: dict[int, dict[int, int]] = {}
         self._unroutable = 0
         self._failures = 0
-        for src, paths in nx.all_pairs_shortest_path(graph):
-            for dst, path in paths.items():
-                if len(path) >= 2:
-                    self._next_hop[(src, dst)] = path[1]
 
     def view(self) -> "StaticRouting":
         """A per-node instance sharing this table.
@@ -35,8 +56,8 @@ class StaticRouting(RoutingProtocol):
         view object.
         """
         clone = object.__new__(StaticRouting)
-        clone._graph = self._graph
-        clone._next_hop = self._next_hop
+        clone._adjacency = self._adjacency
+        clone._tables = self._tables
         clone._unroutable = 0
         clone._failures = 0
         return clone
@@ -46,20 +67,26 @@ class StaticRouting(RoutingProtocol):
         cls, positions: dict[int, tuple[float, float]], comm_range_m: float
     ) -> "StaticRouting":
         """Build from node positions with a disc connectivity model."""
-        g = nx.Graph()
-        g.add_nodes_from(positions)
         items = sorted(positions.items())
+        adjacency: dict[int, list[int]] = {a: [] for a, _ in items}
         for i, (a, pa) in enumerate(items):
             for b, pb in items[i + 1 :]:
                 dx = pa[0] - pb[0]
                 dy = pa[1] - pb[1]
                 if (dx * dx + dy * dy) ** 0.5 <= comm_range_m:
-                    g.add_edge(a, b)
-        return cls(g)
+                    adjacency[a].append(b)
+                    adjacency[b].append(a)
+        return cls(adjacency)
+
+    def _table(self, src: int) -> dict[int, int]:
+        table = self._tables.get(src)
+        if table is None:
+            table = self._tables[src] = _next_hops(self._adjacency, src)
+        return table
 
     def next_hop(self, src: int, dst: int) -> int | None:
-        """The precomputed next hop from ``src`` toward ``dst``."""
-        return self._next_hop.get((src, dst))
+        """The shortest-path next hop from ``src`` toward ``dst``."""
+        return self._table(src).get(dst)
 
     def route_packet(self, packet: Packet) -> None:
         nh = self.next_hop(self.node.node_id, packet.dst)
@@ -82,6 +109,5 @@ class StaticRouting(RoutingProtocol):
         return {"unroutable": self._unroutable, "mac_failures": self._failures}
 
     def route_count(self) -> int:
-        """Precomputed destinations reachable from this node (probe gauge)."""
-        me = self.node.node_id
-        return sum(1 for (src, _dst) in self._next_hop if src == me)
+        """Destinations reachable from this node (probe gauge)."""
+        return len(self._table(self.node.node_id))
