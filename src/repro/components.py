@@ -179,7 +179,7 @@ def _cluster(ctx: BuildContext, clusters: int, spread_m: float):
         raise ValueError(f"clusters must be >= 1, got {clusters!r}")
     if spread_m < 0:
         raise ValueError(f"spread_m must be non-negative, got {spread_m!r}")
-    rng = ctx.rngs.stream("placement")
+    rng = ctx.rngs.numpy_stream("placement")  # numpy's ziggurat normal
     width = ctx.cfg.mobility.field_width_m
     height = ctx.cfg.mobility.field_height_m
     centres = [
@@ -308,7 +308,7 @@ def _poisson(ctx: BuildContext, nodes: "list[Node]", pairs):
             mean_interval_s=mean_interval,
             size_bytes=cfg.traffic.packet_size_bytes,
             start_s=cfg.traffic.start_time_s + k * cfg.traffic.start_stagger_s,
-            rng=ctx.rngs.stream(f"traffic.{k}"),
+            rng=ctx.rngs.numpy_stream(f"traffic.{k}"),
         )
         for k, (src, dst) in enumerate(pairs)
     ]
@@ -528,10 +528,11 @@ def _churn_faults(
             f"crash_count {crash_count} exceeds the {len(candidates)} "
             "crashable nodes (after exclusions)"
         )
-    # All draws come from the dedicated "faults" stream, so (a) the plan is
-    # a pure function of (seed, spec) and (b) every other stream — and with
-    # it the fault-free part of the run — is unperturbed.
-    rng = ctx.rngs.stream("faults")
+    # All draws come from the dedicated "faults" stream (a numpy one, for
+    # ``choice``), so (a) the plan is a pure function of (seed, spec) and
+    # (b) every other stream — and with it the fault-free part of the run —
+    # is unperturbed.
+    rng = ctx.rngs.numpy_stream("faults")
     picked = rng.choice(len(candidates), size=crash_count, replace=False)
     times = rng.uniform(window_start_s, end, size=crash_count)
     crashes = tuple(

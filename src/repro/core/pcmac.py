@@ -26,8 +26,6 @@ resets the handshake tables for that neighbour (paper's maintenance rule).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import (
     MacConfig,
     PcmacConfig,
@@ -44,6 +42,7 @@ from repro.phy.channel import Channel
 from repro.phy.frame import PhyFrame
 from repro.phy.radio import Radio
 from repro.sim.kernel import Simulator
+from repro.sim.rng import StreamLike
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
@@ -65,7 +64,7 @@ class PcmacMac(DcfMac):
         phy_cfg: PhyConfig,
         power_cfg: PowerControlConfig | None = None,
         pcmac_cfg: PcmacConfig | None = None,
-        rng: np.random.Generator,
+        rng: StreamLike,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         super().__init__(

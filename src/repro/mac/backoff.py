@@ -16,7 +16,7 @@ time-free makes it directly property-testable.
 
 from __future__ import annotations
 
-import numpy as np
+from repro.sim.rng import StreamLike
 
 
 class BackoffEngine:
@@ -24,7 +24,7 @@ class BackoffEngine:
 
     __slots__ = ("cw_min", "cw_max", "_cw", "_slots", "_rng")
 
-    def __init__(self, cw_min: int, cw_max: int, rng: np.random.Generator) -> None:
+    def __init__(self, cw_min: int, cw_max: int, rng: StreamLike) -> None:
         if cw_min <= 0 or cw_max < cw_min:
             raise ValueError(f"invalid CW bounds ({cw_min}, {cw_max})")
         self.cw_min = cw_min

@@ -32,10 +32,8 @@ receptions — the mechanism the paper's asymmetric-link analysis hinges on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.config import MacConfig, PhyConfig, PowerControlConfig
 from repro.mac.backoff import BackoffEngine
@@ -49,6 +47,7 @@ from repro.phy.frame import PhyFrame
 from repro.phy.power import PowerLevelTable
 from repro.phy.radio import Radio
 from repro.sim.kernel import Simulator
+from repro.sim.rng import StreamLike
 from repro.sim.trace import NULL_TRACER, Tracer
 
 #: Slop added when comparing elapsed time to whole slots (float guard).
@@ -214,7 +213,7 @@ class DcfMac:
         mac_cfg: MacConfig,
         phy_cfg: PhyConfig,
         power_cfg: PowerControlConfig | None = None,
-        rng: np.random.Generator,
+        rng: StreamLike,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.sim = sim

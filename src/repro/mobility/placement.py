@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from repro.sim.rng import StreamLike
 
 Position = tuple[float, float]
 
 
 def uniform_positions(
-    rng: np.random.Generator, count: int, width_m: float, height_m: float
+    rng: StreamLike, count: int, width_m: float, height_m: float
 ) -> list[Position]:
     """``count`` positions drawn uniformly over the field."""
     if count < 1:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.config import MobilityConfig
 from repro.mobility.base import MobilityModel, Position
+from repro.sim.rng import StreamLike
 
 
 class RandomWaypoint(MobilityModel):
@@ -43,7 +42,7 @@ class RandomWaypoint(MobilityModel):
 
     def __init__(
         self,
-        rng: np.random.Generator,
+        rng: StreamLike,
         cfg: MobilityConfig,
         initial: Position,
         *,

@@ -7,10 +7,13 @@ Poisson arrivals break that artefact.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.net.node import Node
 from repro.net.packet import Packet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PoissonSource:

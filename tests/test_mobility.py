@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.mobility.base import MobilityModel
 from repro.mobility.placement import grid_positions, line_positions, uniform_positions
 from repro.mobility.static import StaticMobility
 from repro.mobility.waypoint import RandomWaypoint
+from repro.sim.rng import RngRegistry
 
 
 class TestStatic:
@@ -450,3 +452,80 @@ class TestStillUntil:
         assert Pinned().still_until(4.0) == math.inf
         # Unbounded speed by default: nothing is known to hold still.
         assert Unknown().still_until(4.0) == 4.0
+
+
+class TestWaypointOracle:
+    """Random waypoint against its closed forms, on the model alone.
+
+    The paper's field and walk: 1000 m × 1000 m, 3 m/s, 3 s pauses.  Each
+    estimate comes from one fixed-seed walk, and each tolerance is four
+    standard errors of that estimate (batch means for the time samples,
+    whose neighbours are correlated within a leg).
+    """
+
+    L = 1000.0
+    SPEED = 3.0
+    PAUSE = 3.0
+    # E|A - B| for A, B uniform on the unit square (Bettstetter,
+    # Hartenstein and Pérez-Costa, Wireless Networks 10(5), 2004).
+    MEAN_LEG = (2 + math.sqrt(2) + 5 * math.log(1 + math.sqrt(2))) / 15 * L
+    # Share of moving time in the central quarter [L/4, 3L/4]²: each leg's
+    # exact clipped length inside it over its length, length-biased, from
+    # 10⁷ uniform legs (standard error 0.0001).
+    CENTRAL = 0.4544
+
+    def walk(self, seed):
+        cfg = MobilityConfig(speed_mps=self.SPEED, pause_s=self.PAUSE,
+                             field_width_m=self.L, field_height_m=self.L)
+        rngs = RngRegistry(seed)
+        start = (rngs.uniform("start", 0.0, self.L),
+                 rngs.uniform("start", 0.0, self.L))
+        return RandomWaypoint(rngs.stream("mobility.0"), cfg, start)
+
+    @staticmethod
+    def within_four_se(batches, target):
+        """Mean of ``batches`` and whether it is within 4 SE of ``target``."""
+        mean = statistics.fmean(batches)
+        se = statistics.stdev(batches) / math.sqrt(len(batches))
+        return mean, se, abs(mean - target) <= 4 * se
+
+    def test_mean_move_leg_is_0_5214_of_the_side(self):
+        m = self.walk(1)
+        lengths = []
+        t = self.PAUSE  # the initial pause ends here
+        for _ in range(20_000):
+            start = m.position_at(t)  # a move leg begins
+            arrival = m._t1
+            lengths.append(math.dist(start, m.position_at(arrival)))
+            t = arrival + self.PAUSE
+        mean, se, ok = self.within_four_se(lengths, self.MEAN_LEG)
+        assert ok, (mean, se, self.MEAN_LEG)
+        assert self.MEAN_LEG == pytest.approx(0.5214 * self.L, abs=0.1)
+
+    def test_pause_share_and_centre_heavy_moving_density(self):
+        m = self.walk(2)
+        # Samples every 1.7 s see each 3 s pause; a batch spans ~96 legs.
+        burn_in, step, batches, per_batch = 2_000.0, 1.7, 40, 10_000
+        pause_share, central_share = [], []
+        t = burn_in
+        for _ in range(batches):
+            paused = moving = central = 0
+            for _ in range(per_batch):
+                x, y = m.position_at(t)
+                if m.still_until(t) > t:
+                    paused += 1
+                else:
+                    moving += 1
+                    q1, q3 = self.L / 4, 3 * self.L / 4
+                    central += q1 <= x <= q3 and q1 <= y <= q3
+                t += step
+            pause_share.append(paused / per_batch)
+            central_share.append(central / moving)
+        expected_pause = self.PAUSE / (self.PAUSE + self.MEAN_LEG / self.SPEED)
+        assert expected_pause == pytest.approx(0.017, abs=0.0005)
+        mean, se, ok = self.within_four_se(pause_share, expected_pause)
+        assert ok, (mean, se, expected_pause)
+        mean, se, ok = self.within_four_se(central_share, self.CENTRAL)
+        assert ok, (mean, se, self.CENTRAL)
+        # Far from the 25 % of a uniform field.
+        assert mean - 4 * se > 0.25 + 0.15
