@@ -72,16 +72,14 @@ Properties the campaign runner and the fleet rely on:
 
 from __future__ import annotations
 
-import functools
 import json
 import os
-import sys
 import warnings
 import zlib
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.campaign.locks import FileLock, atomic_write_json, read_json
 from repro.campaign.spec import SPEC_SCHEMA_VERSION, RunSpec
@@ -112,21 +110,6 @@ class FlatStoreError(RuntimeError):
             f"{root} holds a flat pre-shard {LEGACY_RESULTS_FILE}; migrate "
             f"it into shards with `repro fleet compact {root}` first"
         )
-
-
-def reports_flat_store(main: Callable[..., int]) -> Callable[..., int]:
-    """Wrap a command-line ``main``: a :class:`FlatStoreError` becomes the
-    one-line ``error:`` message on stderr and exit status 2."""
-
-    @functools.wraps(main)
-    def run(*args, **kwargs) -> int:
-        try:
-            return main(*args, **kwargs)
-        except FlatStoreError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    return run
 
 
 def shard_index(key: str, shards: int) -> int:

@@ -32,6 +32,10 @@ Experiments:
   line per key, crash-safely, and is the one command that migrates a flat
   pre-shard ``results.jsonl`` into shards (any other command refuses such
   a store with exit status 2 and leaves it untouched)
+* ``study NAME`` — run one standing study (``repro.studies.STUDIES``:
+  energy_savings, chaos_resilience, capture_study) and write its snapshot
+  to ``studies/NAME.json``; the grid is part of the study's declaration,
+  so only ``--jobs`` and ``--store`` are flags
 
 ``--scale quick`` (default) runs a reduced configuration; ``--scale full``
 uses the paper's 50 nodes / 400 s / 8 loads.
@@ -47,17 +51,19 @@ resumes from the cells already on disk.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import signal
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from repro.analysis.export import sweep_to_csv
 from repro.analysis.plotting import ascii_chart
 from repro.analysis.report import paper_vs_measured
 from repro.campaign.runner import run_specs
 from repro.campaign.spec import Campaign
-from repro.campaign.store import ResultStore, reports_flat_store
+from repro.campaign.store import FlatStoreError, ResultStore
 from repro.config import ScenarioConfig
 from repro.experiments.figure8 import (
     FIGURE8_LOADS_KBPS,
@@ -71,6 +77,7 @@ from repro.experiments.scenario import build_network
 from repro.experiments.sweep import sweep_from_campaign
 from repro.registry import all_registries, registry
 from repro.scenariospec import ComponentSpec, ScenarioSpec
+from repro.studies import SNAPSHOT_DIR, STUDIES, run_study
 
 #: Default ``repro trace`` categories: the low-rate, semantically dense
 #: stream (application endpoints and every drop).  PHY signal edges exist
@@ -194,6 +201,17 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
                         "rate, events/sec, ETA, peak RSS) and record "
                         "runtime stats into the store")
     _add_campaign_flags(c)
+
+    sy = sub.add_parser(
+        "study",
+        help="run a standing study and write its snapshot to "
+             f"{SNAPSHOT_DIR}/NAME.json",
+    )
+    sy.add_argument("name", choices=list(STUDIES))
+    sy.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (1 = serial)")
+    sy.add_argument("--store", type=str, default="",
+                    help="result store directory (enables caching/resume)")
 
     f = sub.add_parser(
         "fleet",
@@ -798,10 +816,30 @@ def _run_fleet(args: argparse.Namespace) -> int:
     return 2  # pragma: no cover - argparse enforces choices
 
 
-@reports_flat_store
+def _run_study(args: argparse.Namespace) -> int:
+    study = STUDIES[args.name]
+    store = ResultStore(args.store) if args.store else None
+    snapshot = run_study(
+        study, jobs=args.jobs, store=store, progress=lambda s: print("  " + s)
+    )
+    out = Path(SNAPSHOT_DIR) / f"{study.name}.json"
+    out.parent.mkdir(exist_ok=True)
+    out.write_text(json.dumps(snapshot, indent=2) + "\n")
+    print(f"wrote {out}\n\n{study.render(snapshot)}")
+    failures = study.check(snapshot)
+    for claim in failures:
+        print(f"claim failed: {claim}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
-    return _dispatch(_parse_args(argv))
+    """CLI entry point.  A flat pre-shard store is refused with a one-line
+    ``error:`` on stderr and exit status 2, before anything runs."""
+    try:
+        return _dispatch(_parse_args(argv))
+    except FlatStoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -825,6 +863,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_campaign(args)
     if args.experiment == "fleet":
         return _run_fleet(args)
+    if args.experiment == "study":
+        return _run_study(args)
     return 2  # pragma: no cover - argparse enforces choices
 
 

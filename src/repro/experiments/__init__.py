@@ -9,6 +9,10 @@ replicates the paper's offered-load sweep over the four MAC protocols;
 the paper's two evaluation figures; :mod:`repro.experiments.ranges`
 reproduces the power-level ↔ range table; :mod:`repro.experiments.ablations`
 probes the design constants the paper fixes by fiat.
+
+The standing studies behind EXPERIMENTS.md (energy savings, churn
+resilience, receiver-model sensitivity) are declarations in
+:mod:`repro.studies`, run by ``repro study NAME``.
 """
 
 from repro.experiments.saturation import SaturationPoint, find_saturation

@@ -385,22 +385,20 @@ class TestFleetCli:
 
 
 @pytest.mark.parametrize(
-    "module", ["energy_savings", "chaos_resilience", "capture_study"]
+    "name", ["energy_savings", "chaos_resilience", "capture_study"]
 )
-def test_study_store_flag_reports_a_flat_store(module, capsys, tmp_path):
-    """A study CLI pointed at a flat pre-shard store prints the one-line
-    error and exits 2, before simulating anything and leaving the store
-    untouched."""
-    import importlib
-
-    study = importlib.import_module(f"repro.experiments.{module}")
+def test_study_store_flag_reports_a_flat_store(name, capsys, tmp_path, monkeypatch):
+    """`repro study NAME` pointed at a flat pre-shard store prints the
+    one-line error and exits 2, before simulating anything, leaving the
+    store untouched and writing no snapshot."""
+    monkeypatch.chdir(tmp_path)
     flat = tmp_path / "flat"
     flat.mkdir()
     (flat / "results.jsonl").write_text("{}\n")
-    code = study.main(["--store", str(flat), "--out", str(tmp_path / "o.json")])
+    code = main(["study", name, "--store", str(flat)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"repro fleet compact {flat}" in err
     assert sorted(p.name for p in flat.iterdir()) == ["results.jsonl"]
-    assert not (tmp_path / "o.json").exists()
+    assert not (tmp_path / "studies" / f"{name}.json").exists()

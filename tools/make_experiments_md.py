@@ -1,28 +1,22 @@
 #!/usr/bin/env python3
 """Generate EXPERIMENTS.md from committed measurement snapshots.
 
-Figure 8/9 table sources (first available wins):
+The Figure 8/9 tables come from ``--store DIR``, a campaign result store
+produced by e.g.::
 
-* ``--store DIR`` — a campaign result store produced by e.g.::
+    python -m repro campaign \
+        --protocols basic,pcmac,scheme1,scheme2 \
+        --loads 300,400,500,600,700,800,900,1000 --seeds 1,2,3 \
+        --nodes 50 --duration 40 --jobs 8 --store DIR
 
-      python -m repro campaign \
-          --protocols basic,pcmac,scheme1,scheme2 \
-          --loads 300,400,500,600,700,800,900,1000 --seeds 1,2,3 \
-          --nodes 50 --duration 40 --jobs 8 --store DIR
+Stores are content-addressed and resumable: re-running the same command
+against the same ``DIR`` only simulates missing cells, so the tables can be
+regenerated incrementally as seeds are added.  Without ``--store`` the
+figure section carries a how-to-populate note instead.
 
-  Stores are content-addressed and resumable: re-running the same command
-  against the same ``DIR`` only simulates missing cells, so the tables can
-  be regenerated incrementally as seeds are added.
-* the legacy ``fullscale_results.json`` snapshot next to the repo root
-  (``{"<protocol>@<load>": {"thr": ..., "dly": ...}}``);
-* neither — the figure sections carry a how-to-populate note instead.
-
-The energy-savings section reads the ``energy_savings.json`` snapshot
-written by ``python -m repro.experiments.energy_savings``, the chaos
-resilience section reads ``chaos_resilience.json`` from ``python -m
-repro.experiments.chaos_resilience``, and the capture-study section reads
-``capture_study.json`` from ``python -m repro.experiments.capture_study``
-(each skipped with a note when absent).
+Each standing study (``repro.studies.STUDIES``) renders its own section
+from its committed ``studies/NAME.json`` snapshot, written by ``python -m
+repro study NAME`` (a note stands in when the snapshot is absent).
 
 Usage:  python tools/make_experiments_md.py [--store DIR] [--out EXPERIMENTS.md]
 With ``--out`` the document is written (CI regenerates it there and fails
@@ -42,24 +36,11 @@ from repro.analysis.report import markdown_table
 from repro.analysis.stats import compare_series
 from repro.experiments.figure8 import FIGURE8_LOADS_KBPS, PAPER_FIG8_KBPS
 from repro.experiments.figure9 import PAPER_FIG9_MS
+from repro.studies import SNAPSHOT_DIR, STUDIES
 
 PROTOCOLS = ("basic", "pcmac", "scheme1", "scheme2")
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def load_legacy_json() -> tuple[list[int], dict, dict, str]:
-    """Series from the committed ``fullscale_results.json`` snapshot."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "fullscale_results.json"
-    data = json.loads(path.read_text())
-    loads = sorted({int(k.split("@")[1]) for k in data})
-
-    def series(metric: str) -> dict[str, list[float]]:
-        return {
-            p: [data[f"{p}@{ld}"][metric] for ld in loads] for p in PROTOCOLS
-        }
-
-    return loads, series("thr"), series("dly"), f"snapshot {path.name}"
 
 
 def load_campaign_store(root: str) -> tuple[list[int], dict, dict, str]:
@@ -103,195 +84,10 @@ def load_campaign_store(root: str) -> tuple[list[int], dict, dict, str]:
     return loads, thr, dly, provenance
 
 
-def print_energy_section(snapshot_path: pathlib.Path) -> None:
-    """The BASIC-vs-PCM energy comparison from ``energy_savings.json``."""
-    print("## Energy savings at equal throughput\n")
-    if not snapshot_path.is_file():
-        print(
-            "*(no snapshot — run `python -m repro.experiments.energy_savings"
-            "` to populate this section)*"
-        )
-        return
-    data = json.loads(snapshot_path.read_text())
-    cfg = data["config"]
-    protos = data["protocols"]
-    savings = data["savings"]
-    print(
-        f"The paper's headline claim, measured: {cfg['nodes']} nodes, "
-        f"{cfg['duration_s']:g} s, {cfg['load_kbps']:g} kbps offered "
-        f"(below saturation), seeds {cfg['seeds']} — WaveLAN per-state "
-        "draws (see docs/model-assumptions.md), mean ± 95 % CI.\n"
-    )
-    rows = []
-    for name in ("basic", "pcmac"):
-        p = protos[name]
-        rows.append([
-            name,
-            f"{p['throughput_kbps']:.1f} ± {p['throughput_ci_kbps']:.1f}",
-            f"{p['total_j']:.0f} ± {p['total_ci_j']:.0f}",
-            round(p["tx_j"], 1),
-            round(p["rx_j"], 1),
-            round(p["idle_j"], 1),
-            round(p["radiated_j"], 2),
-            round(p["energy_per_bit_j"] * 1e6, 1),
-        ])
-    print(markdown_table(
-        ["protocol", "thr [kbps]", "total [J]", "tx [J]", "rx [J]",
-         "idle [J]", "radiated [J]", "J/Mbit (full stack)"],
-        rows,
-    ))
-    verdict = (
-        "statistically indistinguishable (overlapping 95 % CIs)"
-        if savings["throughput_indistinguishable"]
-        else "**distinct** (CIs do not overlap)"
-    )
-    print(
-        f"\n- throughput: {verdict}, Welch t = "
-        f"{savings['throughput_welch_t']:+.2f}"
-    )
-    print(
-        f"- PCMAC saves **{savings['aggregate_fraction']:.1%}** of BASIC's "
-        "aggregate electrical energy (TX draw at reduced power levels + "
-        "fewer overheard max-power frames to decode)"
-    )
-    print(
-        f"- PCMAC saves **{savings['radiated_fraction']:.1%}** of BASIC's "
-        "radiated transmit energy — the quantity the paper's power-control "
-        "argument bounds"
-    )
-    seeds_arg = ",".join(str(s) for s in cfg["seeds"])
-    print(
-        "\nReproduce: `python -m repro.experiments.energy_savings "
-        f"--nodes {cfg['nodes']} --duration {cfg['duration_s']:g} "
-        f"--load {cfg['load_kbps']:g} --seeds {seeds_arg} "
-        "--store results/energy`"
-    )
-
-
-def print_chaos_section(snapshot_path: pathlib.Path) -> None:
-    """The BASIC-vs-PCM churn comparison from ``chaos_resilience.json``."""
-    print("## Resilience under churn — BASIC vs PCM with identical crashes\n")
-    if not snapshot_path.is_file():
-        print(
-            "*(no snapshot — run `python -m repro.experiments."
-            "chaos_resilience` to populate this section)*"
-        )
-        return
-    data = json.loads(snapshot_path.read_text())
-    cfg = data["config"]
-    protos = data["protocols"]
-    print(
-        f"Deterministic relay churn at equal offered load: {cfg['nodes']} "
-        f"nodes, {cfg['duration_s']:g} s, {cfg['load_kbps']:g} kbps, "
-        f"{cfg['crashes_per_run']} relay crashes per run "
-        f"({cfg['downtime_s']:g} s downtime each), seeds {cfg['seeds']} — "
-        "both protocols see the *same* nodes die at the same instants "
-        "(the crash schedule is drawn from the seeded `\"faults\"` stream, "
-        "independent of the MAC), mean ± 95 % CI.\n"
-    )
-    rows = []
-    for name in ("basic", "pcmac"):
-        p = protos[name]
-        rows.append([
-            name,
-            f"{p['delivery_during']:.3f} ± {p['delivery_during_ci']:.3f}",
-            f"{p['delivery_outside']:.3f} ± {p['delivery_outside_ci']:.3f}",
-            f"{p['degradation']:+.1%}",
-            f"{p['rerouted']}/{p['crashes']}",
-            f"{p['mean_reroute_s']:.1f}",
-            f"{p['mean_recovery_s']:.1f}",
-        ])
-    print(markdown_table(
-        ["protocol", "delivery (faults)", "delivery (clear)",
-         "degradation", "rerouted", "reroute [s]", "recovery [s]"],
-        rows,
-    ))
-    gap = data["degradation_gap"]
-    holder = "PCM" if gap > 0 else "BASIC"
-    print(
-        f"\n- degradation gap (basic − pcmac): **{gap:+.1%}** — {holder} "
-        "holds its delivery up better inside fault windows"
-    )
-    print(
-        "- reroute/recovery times are bin-granular "
-        "(1 s resilience sampling interval); see docs/faults.md for the "
-        "fault model and determinism contract"
-    )
-    seeds_arg = ",".join(str(s) for s in cfg["seeds"])
-    print(
-        "\nReproduce: `python -m repro.experiments.chaos_resilience "
-        f"--nodes {cfg['nodes']} --duration {cfg['duration_s']:g} "
-        f"--load {cfg['load_kbps']:g} --seeds {seeds_arg} "
-        f"--crashes {cfg['crashes_per_run']} "
-        f"--downtime {cfg['downtime_s']:g} --store results/chaos`"
-    )
-
-
-def print_capture_section(snapshot_path: pathlib.Path) -> None:
-    """The threshold-vs-SINR receiver comparison from ``capture_study.json``."""
-    print("## Reception-model sensitivity — threshold vs cumulative SINR\n")
-    if not snapshot_path.is_file():
-        print(
-            "*(no snapshot — run `python -m repro.experiments."
-            "capture_study` to populate this section)*"
-        )
-        return
-    data = json.loads(snapshot_path.read_text())
-    cfg = data["config"]
-    print(
-        f"The same dense clustered field ({cfg['nodes']} nodes on "
-        f"{cfg['field_m']:g}×{cfg['field_m']:g} m, {cfg['duration_s']:g} s, "
-        f"{cfg['load_kbps']:g} kbps offered — saturating), run under the "
-        "paper's NS-2 threshold receiver (`reception=null`) and the "
-        "cumulative-interference SINR state machine (`reception=sinr`, "
-        "see docs/phy-models.md), seeds "
-        f"{cfg['seeds']}, mean ± 95 % CI.  Drop columns are the SINR "
-        "receiver's typed loss ledger summed over nodes and seeds.\n"
-    )
-    rows = []
-    for c in data["cells"]:
-        sinr = c["reception"] == "sinr"
-        rows.append([
-            c["protocol"],
-            c["reception"],
-            f"{c['throughput_kbps']:.1f} ± {c['throughput_ci']:.1f}",
-            f"{c['delivery']:.3f} ± {c['delivery_ci']:.3f}",
-            c["drop_collision"] if sinr else "—",
-            c["drop_capture_lost"] if sinr else "—",
-            c["drop_below_sensitivity"] if sinr else "—",
-        ])
-    print(markdown_table(
-        ["protocol", "reception", "thr [kbps]", "delivery",
-         "collision", "capture lost", "below sens."],
-        rows,
-    ))
-    print(
-        f"\n- BASIC − PCM throughput gap: **{data['gap_null_kbps']:+.1f} "
-        f"kbps** under the threshold receiver, "
-        f"**{data['gap_sinr_kbps']:+.1f} kbps** under SINR — the model "
-        f"choice moves the protocol comparison by "
-        f"**{data['gap_shift_kbps']:+.1f} kbps**"
-    )
-    print(
-        "- a shifted (or flipped) gap is the modelling risk this section "
-        "tracks: conclusions drawn from the threshold receiver alone carry "
-        "at least this error bar"
-    )
-    seeds_arg = ",".join(str(s) for s in cfg["seeds"])
-    print(
-        "\nReproduce: `python -m repro.experiments.capture_study "
-        f"--nodes {cfg['nodes']} --duration {cfg['duration_s']:g} "
-        f"--field {cfg['field_m']:g} --load {cfg['load_kbps']:g} "
-        f"--seeds {seeds_arg} --store results/capture`"
-    )
-
-
 def print_figures(args: argparse.Namespace) -> None:
-    """Figure 8/9 tables (or a how-to-populate note when no source exists)."""
+    """Figure 8/9 tables (or a how-to-populate note without a store)."""
     if args.store:
         loads, thr, dly, provenance = load_campaign_store(args.store)
-    elif (ROOT / "fullscale_results.json").is_file():
-        loads, thr, dly, provenance = load_legacy_json()
     else:
         print("## Figures 8 & 9 — throughput / delay vs offered load\n")
         print(
@@ -395,12 +191,16 @@ def render(args: argparse.Namespace) -> str:
             "(CI diffs this file against a fresh render).\n"
         )
         print_figures(args)
-        print()
-        print_energy_section(pathlib.Path(args.energy_json))
-        print()
-        print_chaos_section(pathlib.Path(args.chaos_json))
-        print()
-        print_capture_section(pathlib.Path(args.capture_json))
+        for study in STUDIES.values():
+            path = ROOT / SNAPSHOT_DIR / f"{study.name}.json"
+            print()
+            if path.is_file():
+                print(study.render(json.loads(path.read_text())))
+            else:
+                print(
+                    f"## {study.title}\n\n*(no snapshot — run `python -m "
+                    f"repro study {study.name}` to populate this section)*"
+                )
     return buf.getvalue().rstrip() + "\n"
 
 
@@ -410,22 +210,7 @@ def main() -> None:
         "--store",
         default="",
         help="campaign result store directory for the figure tables "
-             "(default: fullscale_results.json if present, else skipped)",
-    )
-    parser.add_argument(
-        "--energy-json",
-        default=str(ROOT / "energy_savings.json"),
-        help="energy_savings snapshot for the energy section",
-    )
-    parser.add_argument(
-        "--chaos-json",
-        default=str(ROOT / "chaos_resilience.json"),
-        help="chaos_resilience snapshot for the resilience section",
-    )
-    parser.add_argument(
-        "--capture-json",
-        default=str(ROOT / "capture_study.json"),
-        help="capture_study snapshot for the reception-model section",
+             "(default: none, and the figure section shows how to make one)",
     )
     parser.add_argument(
         "--out",
