@@ -63,6 +63,8 @@ compatibility shim bit-identical — verified by
 
 from __future__ import annotations
 
+import gc
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -269,6 +271,39 @@ def _wire_energy(ctx: BuildContext, node: "Node", radio: Radio) -> None:
         battery.on_depleted.append(_on_depleted)
 
 
+#: ``[full collections, allocated blocks]`` at the last full collection
+#: :func:`_collect_if_grown` knows of; ``-1`` until the first build.
+#: Process-wide, as are the heap and the collector it describes.
+_heap_mark = [-1, 0]
+
+
+def _collect_if_grown() -> None:
+    """Run one full collection if the heap grew by a quarter since the last.
+
+    CPython runs a full pass once its long-lived objects have grown by a
+    quarter, and that pass is what frees a network dropped after its run
+    (its reference cycles).  Builds and runs pause the collector, so in a
+    process that runs cell after cell the pass would hardly ever come and
+    dead networks would pile up.  This applies the same rule, counted in
+    allocated blocks, at the one point where it matters: before a build
+    allocates the next network.  When anyone ran a full collection since
+    the mark was taken (the generation-2 count of :func:`gc.get_stats`
+    moved), the mark is re-taken instead.  A caller that disabled the
+    collector gets no collection.
+    """
+    if not gc.isenabled():
+        return
+    full = gc.get_stats()[2]["collections"]
+    blocks = sys.getallocatedblocks()
+    if full == _heap_mark[0]:
+        if 4 * (blocks - _heap_mark[1]) < _heap_mark[1]:
+            return
+        gc.collect()
+        full = gc.get_stats()[2]["collections"]
+        blocks = sys.getallocatedblocks()
+    _heap_mark[:] = full, blocks
+
+
 class NetworkBuilder:
     """Wire a complete network for one :class:`ScenarioSpec`.
 
@@ -342,20 +377,25 @@ class NetworkBuilder:
 
     # ----------------------------------------------------------------- build
 
-    @collector_paused()
     def build(self) -> "BuiltNetwork":
         """Construct the network (see the module docstring for the order).
 
-        Runs with the cyclic garbage collector paused
+        First frees old cyclic garbage if the heap has grown by a quarter
+        (:func:`_collect_if_grown`), so a network dropped after its run is
+        gone before the next one is allocated.  The build itself runs with
+        the cyclic garbage collector paused
         (:func:`~repro.sim.kernel.collector_paused`), as
         :meth:`~repro.sim.kernel.Simulator.run_until` does: a build
         allocates over a hundred thousand long-lived objects on a 2000-node
         field and leaves no cyclic garbage, so collector passes here would
         only walk them.  The collector is re-enabled on return or on error
-        if it was enabled on entry.  A build that grew the heap by a
-        quarter then runs one full collection, which frees what earlier
-        cells left behind (a network dropped after its run).
+        if it was enabled on entry.
         """
+        _collect_if_grown()
+        with collector_paused():
+            return self._build()
+
+    def _build(self) -> "BuiltNetwork":
         from repro.experiments.scenario import BuiltNetwork
 
         spec = self.spec

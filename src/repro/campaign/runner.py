@@ -240,7 +240,10 @@ def run_specs(
         resume: when False, stored results are ignored (and overwritten) —
             every cell is re-simulated, and a result that differs from the
             stored one replaces it.
-        progress: optional callback receiving one line per finished cell.
+        progress: optional callback receiving one line per finished cell;
+            after its ``[n/m]``, ``[cached]`` or ``[failed]`` tag comes the
+            first 8 hex digits of the cell's content key, so cells that
+            differ in a slot the rest of the line leaves out differ too.
         telemetry: optional callback receiving
             :class:`~repro.obs.telemetry.RunProgress` heartbeats while
             cells execute (live progress).  Enables per-run runtime stats
@@ -287,7 +290,7 @@ def run_specs(
             report.results[key] = cached
             report.cached += 1
             if progress is not None:
-                progress(f"[cached] {cached.row()}  seed={cached.seed}")
+                progress(f"[cached] {key[:8]} {cached.row()}  seed={cached.seed}")
         else:
             pending.append((key, spec))
 
@@ -305,7 +308,7 @@ def run_specs(
             store.put(spec, result, runtime=runtime, key=key)
         if progress is not None:
             progress(
-                f"[{report.executed}/{len(pending)}] {result.row()}"
+                f"[{report.executed}/{len(pending)}] {key[:8]} {result.row()}"
                 f"  seed={result.seed}"
             )
 
@@ -317,7 +320,7 @@ def run_specs(
             store.put_error(spec, error, key=key)
         if progress is not None:
             progress(
-                f"[failed] {spec.protocol} load={spec.load_kbps} "
+                f"[failed] {key[:8]} {spec.protocol} load={spec.load_kbps} "
                 f"seed={spec.seed}: {error['kind']}: {error['message']} "
                 f"(attempts={error['attempts']})"
             )

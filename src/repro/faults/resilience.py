@@ -47,7 +47,8 @@ class CrashRecovery:
     #: time-to-reroute proxy; None if nothing was delivered afterwards.
     reroute_s: float | None
     #: Seconds from the crash until the per-bin delivery ratio returned to
-    #: ``RECOVERY_FRACTION`` of the pre-crash baseline; None if it never did.
+    #: ``RECOVERY_FRACTION`` of the pre-crash baseline in a bin that
+    #: delivered something; None if it never did.  Never below ``reroute_s``.
     recovery_s: float | None
 
 
@@ -200,7 +201,10 @@ class ResilienceMonitor:
                 continue
             if reroute_s is None and r > 0:
                 reroute_s = t - crash.at_s
-            if recovery_s is None and s > 0 and (r / s) >= target:
+            # A bin that delivered nothing never counts as recovered, even
+            # against a zero baseline (nothing delivered before the crash),
+            # so recovery never precedes the reroute.
+            if recovery_s is None and s > 0 and r > 0 and r / s >= target:
                 recovery_s = t - crash.at_s
             if reroute_s is not None and recovery_s is not None:
                 break

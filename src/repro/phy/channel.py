@@ -67,8 +67,9 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
 * **One survivor builder per interval kind.**  A scalar loop visits the
   candidate block in attach order and resolves each other radio to a
   received power and a delay, or culls it below the floor.  Its
-  ``[(rx, rx_power, delay)]`` list is the whole per-transmit answer; one
-  shared tail numbers it into edges.  The moving interval's loop skips
+  ``(rx, rx_power, delay, k)`` rows are the whole per-transmit answer
+  (the frozen interval keeps them as columns); one shared tail numbers
+  them into edges.  The moving interval's loop skips
   the pairs the motion bound rules out and keeps the records; the frozen
   interval's reads the entries' stored positions and keeps nothing.
 * **Frozen-interval replay.**  Each mobility model reports how long its
@@ -79,11 +80,16 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   position and moves it to its cell) and lowered by ``attach``.  While
   ``now`` is below it no radio moves, so the survivor list of each
   ``(source, tx power)`` is built once and replayed on every later
-  transmit.  An all-static world is the case that stays frozen forever
-  (``inf``; static radios are never asked).  The memo is the frozen
-  fan-out's only cache: a miss computes the distance and gain of every
-  candidate afresh, which is cheaper than keeping a record per pair that
-  the memo already duplicates.  A reindex that finds the previous
+  transmit.  The memo stores it as columns (a tuple of radios, then
+  ``array('d')`` powers and delays and ``array('I')`` seq offsets): the
+  arrays hold the same IEEE doubles and make no Python object per
+  survivor, so an entry takes about a quarter of a list of tuples' memory
+  and the cyclic garbage collector walks five objects per entry, not one
+  per survivor.  An all-static world is the case that stays frozen
+  forever (``inf``; static radios are never asked).  The memo is the
+  frozen fan-out's only cache: a miss computes the distance and gain of
+  every candidate afresh, which is cheaper than keeping a record per pair
+  that the memo already duplicates.  A reindex that finds the previous
   interval thawed clears it, as do attach and detach; moving intervals
   resolve through the motion-bounded loop.  The waypoint model starts
   every node on a pause leg, so a mobile cell replays until its first
@@ -118,6 +124,7 @@ notifications, sharing the propagation model.
 from __future__ import annotations
 
 import math
+from array import array
 from operator import itemgetter
 
 from repro.phy.frame import PhyFrame
@@ -130,7 +137,9 @@ from repro.units import SPEED_OF_LIGHT
 #: Upper bound on memoised static fan-outs (keys are ``(src_seq,
 #: tx_power)``, so continuous-power protocols could otherwise grow the
 #: cache without bound).  Generous enough for 10k sources at the paper's
-#: ten discrete power levels; on overflow the cache is simply cleared and
+#: ten discrete power levels.  An entry costs about 320 bytes plus 28 per
+#: survivor (1.4 kB at the paper's density, ~37 survivors), so a full
+#: cache stays under 200 MB.  On overflow the cache is simply cleared and
 #: rebuilt on demand — correctness never depends on a hit.
 _STATIC_FANOUT_CAP = 131072
 
@@ -266,10 +275,11 @@ class Channel:
         self._drift_mps = 2.0 * max_speed_mps
         self._next_seq = 0
         #: Frozen-interval replay: while no radio moves, the fan-out of a
-        #: given (source, tx power) cannot change — cache it as a replayable
-        #: ``[(rx, rx_power, delay, k), ...]`` list.  Attach, detach and a
-        #: reindex after a thaw clear the whole cache.
-        self._static_fanouts: dict[tuple[int, float], list] = {}
+        #: given (source, tx power) cannot change — cache it as columns
+        #: ``(radios, powers, delays, ks)`` (see :meth:`_static_survivors`),
+        #: which ``zip`` replays as ``(rx, rx_power, delay, k)``.  Attach,
+        #: detach and a reindex after a thaw clear the whole cache.
+        self._static_fanouts: dict[tuple[int, float], tuple] = {}
         #: Time until which no attached radio moves: ``inf`` while every
         #: radio is static, else the earliest ``still_until`` of the mobile
         #: radios at the last reindex, lowered by each mobile attach.
@@ -444,12 +454,16 @@ class Channel:
 
     def _static_survivors(
         self, entry: _RadioEntry, tx_power: float
-    ) -> list[tuple[Radio, float, float, int]]:
-        """A frozen interval's ``[(rx, rx_power, delay, k)]``, delay order.
+    ) -> tuple[tuple[Radio, ...], array, array, array]:
+        """A frozen interval's survivors as columns, in delay order.
 
-        ``k`` is twice the survivor's attach-order index: its seq offset in
-        the edge batch (see :meth:`_fanout_indexed`).  Built once per
-        ``(source, tx power)`` and frozen interval for replay, which is the
+        Returns ``(radios, powers, delays, ks)``: a tuple of radios, the
+        received powers and delays as ``array('d')`` and the seq offsets as
+        ``array('I')``; ``zip`` of them gives the ``(rx, rx_power, delay,
+        k)`` rows :meth:`_survivors` returns.  ``k`` is twice the
+        survivor's attach-order index: its seq offset in the edge batch
+        (see :meth:`_fanout_indexed`).  Built once per ``(source, tx
+        power)`` and frozen interval for replay, which is the
         only cache: every radio holds still at its entry's ``pos`` (sampled
         at attach or at the reindex that opened the interval) and sits in
         that position's cell, so each candidate is resolved straight from
@@ -484,14 +498,16 @@ class Channel:
                 )
             )
         out.sort(key=_DELAY)
-        return out
+        radios, powers, delays, ks = tuple(zip(*out)) or ((), (), (), ())
+        return radios, array("d", powers), array("d", delays), array("I", ks)
 
     def _survivors(
         self, src: Radio, entry: _RadioEntry | None, tx_power: float, now: float
     ) -> list[tuple[Radio, float, float, int]]:
         """Radios above the floor as ``[(rx, rx_power, delay, k)]``, delay order.
 
-        ``k`` is the seq offset, as in :meth:`_static_survivors`.
+        ``k`` is the seq offset, as in :meth:`_static_survivors`.  A moving
+        interval's list is used once, so it stays a list of rows.
 
         The resolve loop of a moving interval's indexed fan-out (and of an
         unattached transmitter's).  The candidate block is a superset of
@@ -640,8 +656,9 @@ class Channel:
         ``base + 2i + 1``), so same-time ties break identically.  While the
         world is frozen (``now < _frozen_until``) a ``(source, tx power)``
         survivor list cannot change, so :meth:`_static_survivors` builds it
-        once and it is replayed; a moving interval runs :meth:`_survivors`
-        per transmit.
+        once as columns and it is replayed through ``zip``; a moving
+        interval runs :meth:`_survivors` per transmit.  One loop builds the
+        edges from either.
         Survivors come in delay order, so the batch is passed as its
         leading edges then its trailing edges, each run in time order.
         """
@@ -654,12 +671,13 @@ class Channel:
         if now < self._frozen_until and entry is not None:
             key = (entry.seq, tx_power)
             fanouts = self._static_fanouts
-            hits = fanouts.get(key)
-            if hits is None:
-                hits = self._static_survivors(entry, tx_power)
+            memo = fanouts.get(key)
+            if memo is None:
+                memo = self._static_survivors(entry, tx_power)
                 if len(fanouts) >= _STATIC_FANOUT_CAP:
                     fanouts.clear()
-                fanouts[key] = hits
+                fanouts[key] = memo
+            hits = zip(*memo)
         else:
             hits = self._survivors(src, entry, tx_power, now)
         duration = frame.duration_s

@@ -45,7 +45,6 @@ the pause changes no event order and no result.
 from __future__ import annotations
 
 import gc
-import sys
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from math import isnan
@@ -66,28 +65,18 @@ def collector_paused() -> Iterator[None]:
     The collector is re-enabled on exit — also when the block raises — but
     only if it was enabled on entry, so a caller that turned it off keeps
     it off and a nested pause (a handler running a second simulator) does
-    not end the outer one early.
-
-    A block that grew the heap (counted in allocated blocks) by at least a
-    quarter then ends with one full collection.  CPython runs a full pass
-    whenever its heap has grown by a quarter, and those passes are what
-    free cyclic garbage made outside any pause, such as a network dropped
-    after its run; the pause would otherwise put them off for as long as
-    the process keeps pausing.  Short blocks (most slices of a sliced run,
-    a small build) add nothing.  Without that collection, twenty 300-node
-    cells run one after another peaked at 139 MB instead of 76 MB, holding
-    dead networks.
+    not end the outer one early.  Exit runs no collection: the block's own
+    allocations are no cyclic garbage, and what earlier cells left behind
+    is collected when the next network is built
+    (:meth:`~repro.builder.NetworkBuilder.build`), before it allocates.
     """
     was_enabled = gc.isenabled()
     gc.disable()
-    blocks = sys.getallocatedblocks()
     try:
         yield
     finally:
         if was_enabled:
             gc.enable()
-            if 4 * (sys.getallocatedblocks() - blocks) >= blocks:
-                gc.collect()
 
 
 class Simulator:
@@ -305,8 +294,7 @@ class Simulator:
         (:func:`collector_paused`); it is re-enabled when this returns or
         raises, if it was enabled on entry.  Its passes free nothing during
         a run (a run leaves no cyclic garbage; see the module docstring),
-        so pausing it only saves their time.  A call that grew the heap by
-        a quarter ends with one full collection.
+        so pausing it only saves their time.  It runs no full collection.
         """
         if isnan(end_time):
             raise SimulationError("run_until horizon is NaN")

@@ -16,6 +16,7 @@ from repro.campaign.runner import run_campaign, run_specs
 from repro.campaign.spec import Campaign, RunSpec
 from repro.campaign.store import ResultStore
 from repro.config import ScenarioConfig, TrafficConfig
+from repro.scenariospec import ScenarioSpec
 
 
 def small_cfg(**overrides) -> ScenarioConfig:
@@ -197,6 +198,37 @@ class TestCachingAndResume:
         run_campaign(campaign, store=store, progress=cached_lines.append)
         assert len(cached_lines) == campaign.size
         assert all(line.startswith("[cached]") for line in cached_lines)
+
+    def test_progress_lines_tell_cells_apart(self, tmp_path):
+        """Two cells that differ only in the reception slot share protocol,
+        load and seed; their content keys tell the lines apart."""
+        specs = [
+            RunSpec(scenario=ScenarioSpec(cfg=small_cfg(), reception=reception))
+            for reception in ("null", "sinr")
+        ]
+        store = ResultStore(tmp_path / "store")
+        for _ in range(2):  # simulated, then served from the store
+            lines: list[str] = []
+            run_specs(specs, store=store, progress=lines.append)
+            assert len(lines) == 2 and lines[0] != lines[1]
+            for line, spec in zip(lines, specs):
+                assert line.split()[1] == spec.key()[:8]
+        assert lines[0].startswith("[cached]")
+
+    def test_failed_lines_tell_cells_apart(self):
+        specs = [
+            RunSpec(
+                scenario=ScenarioSpec(
+                    cfg=small_cfg(), reception=reception, flow_pairs=((0, 99),)
+                )
+            )
+            for reception in ("null", "sinr")
+        ]
+        lines: list[str] = []
+        report = run_specs(specs, progress=lines.append)
+        assert len(report.errors) == 2
+        assert all(line.startswith("[failed]") for line in lines)
+        assert lines[0] != lines[1]
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,21 @@ def collector_on():
 
 
 @pytest.fixture
+def full_collections():
+    """Records every full (generation 2) collection while the test runs."""
+    seen = []
+
+    def on_gc(phase, info):
+        if phase == "stop" and info["generation"] == 2:
+            seen.append(info)
+
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    yield seen
+    gc.callbacks.remove(on_gc)
+
+
+@pytest.fixture
 def phy_cfg() -> PhyConfig:
     """The paper's PHY configuration."""
     return PhyConfig()

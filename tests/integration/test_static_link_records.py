@@ -6,9 +6,17 @@ either channel (data or power-control), and neither may a waypoint cell
 that ends inside its nodes' initial pause.  A waypoint cell that runs past
 the pause still keeps them once the nodes move, because the motion bound
 and the epoch gain cache live in those records.
+
+The memo keeps each entry as columns: its powers and delays are
+``array('d')``, which the cyclic collector walks as one object however
+many survivors it holds, and replaying an entry gives the rows the moving
+interval's loop resolves afresh.
 """
 
 from __future__ import annotations
+
+import gc
+from array import array
 
 from repro.builder import NetworkBuilder
 from repro.config import MobilityConfig, ScenarioConfig, TrafficConfig
@@ -56,6 +64,26 @@ def test_static_pcmac_cell_keeps_no_link_tables():
     for chan in channels:
         assert chan._links == {}
         assert chan._static_fanouts  # the replay memo did the caching
+
+
+def test_replay_memo_is_columns_that_replay_as_a_fresh_resolve():
+    net = _run(0.0, "static")
+    for chan in (net.data_channel, net.control_channel):
+        entries = {entry.seq: entry for entry in chan._entries.values()}
+        assert chan._static_fanouts
+        for (seq, tx_power), memo in chan._static_fanouts.items():
+            radios, powers, delays, ks = memo
+            for column in (powers, delays):
+                assert type(column) is array and column.typecode == "d"
+                # The collector sees a column as one object: no survivor's
+                # power or delay is a Python object of its own.
+                assert not any(
+                    isinstance(ref, float) for ref in gc.get_referents(column)
+                )
+            assert len(radios) == len(powers) == len(delays) == len(ks)
+            entry = entries[seq]
+            fresh = chan._survivors(entry.radio, entry, tx_power, net.sim.now)
+            assert list(zip(*memo)) == fresh
 
 
 def test_waypoint_cell_inside_its_pause_replays(monkeypatch):

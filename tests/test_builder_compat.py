@@ -248,17 +248,37 @@ class TestCollectorPause:
         NetworkBuilder(ScenarioSpec(cfg=small_cfg())).build()
         assert not gc.isenabled()
 
-    def test_a_build_that_grew_the_heap_by_a_quarter_frees_old_garbage(
+    def test_a_build_after_a_quarters_growth_frees_old_garbage_first(
         self, monkeypatch
     ):
+        build = NetworkBuilder(ScenarioSpec(cfg=small_cfg())).build
         ref = old_cyclic_garbage()
-        kept = []
+        build()  # marks the heap after old_cyclic_garbage's collections
+        kept = grow_heap_by_a_third()
+        seen = []
         real = repro.builder.MetricsCollector
 
-        def growing():
-            kept.extend(grow_heap_by_a_third())
+        def probe():
+            seen.append(ref())
             return real()
 
-        monkeypatch.setattr(repro.builder, "MetricsCollector", growing)
-        NetworkBuilder(ScenarioSpec(cfg=small_cfg())).build()
-        assert ref() is None
+        monkeypatch.setattr(repro.builder, "MetricsCollector", probe)
+        build()
+        assert seen == [None] and kept
+
+    def test_a_build_after_a_small_growth_runs_no_full_collection(
+        self, full_collections
+    ):
+        build = NetworkBuilder(ScenarioSpec(cfg=small_cfg())).build
+        build()
+        kept = [object() for _ in range(10_000)]
+        build()
+        assert full_collections == [] and kept
+
+    def test_no_catch_up_when_the_caller_turned_it_off(self, full_collections):
+        build = NetworkBuilder(ScenarioSpec(cfg=small_cfg())).build
+        gc.disable()
+        build()
+        kept = grow_heap_by_a_third()
+        build()
+        assert full_collections == [] and kept
