@@ -1,4 +1,4 @@
-"""Result fingerprints: ten short cells pinned to the exact bytes they produce.
+"""Result fingerprints: eleven short cells pinned to the exact bytes they produce.
 
 The differential suite compares two builds of the *same* code, so a change
 made to both sides passes it.  These cells compare against the past
@@ -7,7 +7,8 @@ instead: each one's full :class:`~repro.metrics.ExperimentResult`, minus
 the same recipe as ``bench/workloads.py::fingerprint``) and pinned below.
 
 Between them the cells cover all four MACs (basic, Scheme 1, Scheme 2 and
-PCMAC), the SINR receiver under basic and PCMAC, random waypoint mobility,
+PCMAC), the SINR receiver under basic and PCMAC, random waypoint mobility
+(under basic and PCMAC, moving from t = 0),
 crash/rejoin churn, injected corruption with link fades and noise bursts,
 battery energy with node deaths, and multi-hop static routing whose flows
 have several equal-length shortest paths (so the next-hop tie-break shows).  A change that is
@@ -40,7 +41,7 @@ def _spec(mac: str, cfg: dict, **components) -> dict:
 _STATIC_FIELD = {"speed_mps": 0.0, "field_width_m": 600.0,
                  "field_height_m": 600.0}
 
-#: label -> scenario spec dict (all ten run in under 2 s).
+#: label -> scenario spec dict (each runs in under 2 s).
 CELLS: dict[str, dict] = {
     "basic-static": _spec(
         "basic",
@@ -102,6 +103,14 @@ CELLS: dict[str, dict] = {
         faults={"name": "churn",
                 "params": {"crash_count": 2, "downtime_s": 0.6}},
     ),
+    "pcmac-waypoint": _spec(
+        "pcmac",
+        {"node_count": 14, "duration_s": 3.0, "seed": 5,
+         "traffic": {"flow_count": 3, "offered_load_bps": 200000.0},
+         "mobility": {"speed_mps": 15.0, "pause_s": 0.0,
+                      "field_width_m": 500.0, "field_height_m": 500.0}},
+        mobility={"name": "waypoint", "params": {}},
+    ),
     "pcmac-scripted-corruption": _spec(
         "pcmac",
         {"node_count": 8, "duration_s": 3.0, "seed": 7,
@@ -150,6 +159,7 @@ FINGERPRINTS: dict[str, str] = {
     "pcmac-sinr-cluster": "ec78587562ef30e3e9b1245bbf03b747ffc4700268624c237611e9e8643a8d4a",
     "pcmac-static": "2c4265430546ed0b63263f13d80b2a6755f90e7aa6f38a5c8e268c5afccd1693",
     "pcmac-static-routing": "da8b7450ff4f13693170ba04cb5e3bf707f5e784d80f5a81b3f4c30df227c831",
+    "pcmac-waypoint": "87f21694c8a1ec8db91c8c25a2637a3f8199dbc593f7e02d5369ff7abf47a045",
     "scheme1-static": "ed0859fd1fc73dc50808eb9d84fbeffcaf6e16dcfc5a6153a344d747a9a14ef8",
     "scheme2-static": "7d557dc0da16fa3abcca7ca94dd405179d3363b10cc8a164062668c88171a393",
 }
