@@ -7,8 +7,8 @@ battery death uses (channel detach, MAC shutdown with orphan-drop
 attribution, routing notification); recovery is the new inverse path
 (channel re-attach, MAC restart, routing resume).  Channel-quality faults
 are applied at the receiving radios (see
-:class:`~repro.phy.radio.RadioFaultState`) so the channel's spatial-index
-and gain caches stay untouched.
+:class:`~repro.phy.radio.RadioFaultState`) so the channel's spatial index
+and replay memo stay untouched.
 
 Every fault edge is emitted through the tracer (categories ``fault.crash``,
 ``fault.recover``, ``fault.noise``, ``fault.link``, ``fault.corrupt``), so

@@ -61,7 +61,7 @@ class LinkFade:
 
     Frames from ``src`` arriving at ``dst`` during the window have their
     received power scaled by ``factor`` (attenuation only, so the channel's
-    spatial-index culling stays a sound superset and its gain caches stay
+    spatial-index culling stays a sound superset and its replay memo stays
     untouched — the fade is applied at the receiving radio).
     """
 

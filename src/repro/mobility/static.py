@@ -21,9 +21,5 @@ class StaticMobility(MobilityModel):
     def position_at(self, t: float) -> Position:
         return self._pos
 
-    def poll(self, t: float) -> tuple[Position, int]:
-        # Allocation-free fast path: same tuple object, epoch pinned at 0.
-        return self._pos, 0
-
     def max_speed_mps(self) -> float:
         return 0.0

@@ -36,8 +36,6 @@ class RandomWaypoint(MobilityModel):
         "_span",
         "_dx",
         "_dy",
-        "_epoch",
-        "_last_pos",
     )
 
     def __init__(
@@ -66,8 +64,6 @@ class RandomWaypoint(MobilityModel):
         self._t1 = cfg.pause_s
         self._paused = True
         self._moving = False
-        self._epoch = 0
-        self._last_pos = self._p0
 
     def _draw_speed(self) -> float:
         if self._speed_range is not None:
@@ -112,23 +108,12 @@ class RandomWaypoint(MobilityModel):
             self._dx = self._p1[0] - self._p0[0]
             self._dy = self._p1[1] - self._p0[1]
 
-    @property
-    def epoch(self) -> int:
-        """Movement epoch: bumps on every sample that returns a new position.
-
-        Pause legs (3 s in the paper) therefore hold the epoch steady, as do
-        repeated samples at the same instant, so per-link caches keyed on the
-        epoch hit exactly when the node genuinely has not moved.
-        """
-        return self._epoch
-
     def max_speed_mps(self) -> float:
         if self._speed_range is not None:
             return float(self._speed_range[1])
         return self._cfg.speed_mps
 
-    def poll(self, t: float) -> tuple[Position, int]:
-        """``(position, epoch)`` at ``t`` in one frame (the fan-out's call)."""
+    def position_at(self, t: float) -> Position:
         while t >= self._t1:
             self._next_leg()
         pos = self._p0
@@ -136,18 +121,12 @@ class RandomWaypoint(MobilityModel):
             frac = (t - self._t0) / self._span
             if frac > 0.0:
                 pos = (pos[0] + self._dx * frac, pos[1] + self._dy * frac)
-        if pos != self._last_pos:
-            self._epoch += 1
-            self._last_pos = pos
-        return pos, self._epoch
-
-    def position_at(self, t: float) -> Position:
-        return self.poll(t)[0]
+        return pos
 
     def still_until(self, t: float) -> float:
         """End of the pause leg (or degenerate leg) under way at ``t``.
 
-        Advances the legs exactly as :meth:`poll` does.  A pause leg holds
+        Advances the legs exactly as :meth:`position_at` does.  A pause leg holds
         ``p0``, and so does a leg that goes nowhere (zero speed: ``dx ==
         dy == 0``), up to its end ``t1``; a genuine move answers ``t``.
         """

@@ -39,31 +39,26 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   ``reindex_interval_s``; the cell-size padding covers the maximum drift
   between refreshes, keeping the candidate set an exact superset of the
   reachable radios.
-* **Epoch-cached link gains (moving worlds).**  Mobility models expose a
-  movement epoch (:class:`~repro.mobility.base.MobilityModel`) that bumps
-  only when a position sample actually moves.  Per-link ``(gain,
-  distance)`` pairs are cached keyed on both endpoints' epochs, so mobile
-  scenarios get hits during pause legs and repeated same-instant samples.
-  Radios whose mobility bound is 0 m/s are flagged static at attach and
-  skip position polling entirely.  While no radio moves, no link record
-  is written at all (see frozen-interval replay).
-* **Motion-bounded culling.**  Each source keeps, per receiver it has
-  resolved, the exact distance ``d`` at the time ``t`` it was computed.
-  Two radios close at most ``2 · max_speed_mps`` (``drift``), so while
-  ``d - drift · (now - t)`` still exceeds ``range_for(tx_power, floor)``
-  plus a float slack, the receiver is skipped without polling its mobility
-  or computing a gain.  This is exact: every propagation model is a
-  deterministic function of distance that never increases with it, so
-  beyond the reach the brute scan culls the pair too; and waypoint legs
-  come lazily from each node's own RNG stream, so a skipped poll changes
-  no trajectory (epochs only validate caches).  The slack
+* **Motion-bounded culling (moving worlds).**  Each source keeps, per
+  receiver it has resolved, the exact distance ``d`` at the time ``t`` it
+  was computed.  Two radios close at most ``2 · max_speed_mps``
+  (``drift``), so while ``d - drift · (now - t)`` still exceeds
+  ``range_for(tx_power, floor)`` plus a float slack, the receiver is
+  skipped without sampling its mobility or computing a gain.  This is
+  exact: every propagation model is a deterministic function of distance
+  that never increases with it, so beyond the reach the brute scan culls
+  the pair too; and waypoint legs come lazily from each node's own RNG
+  stream, so a skipped sample changes no trajectory.  The slack
   (``_BOUND_SLACK_M`` plus ``_BOUND_SLACK_REL`` of the reach) absorbs the
   rounding of ``range_for``, of the distance and of the bound's sums, and
   interpolated waypoint samples outrunning their speed bound by ~1e-13 m.
-  The record is ``(d + drift · t, src epoch, rx epoch, gain, d)``, so the
-  skip is one dict lookup and one compare against a limit hoisted out of
-  the loop; it survives the source moving.  Only moving intervals write
-  records.
+  The record is one float, ``d + drift · t``, so the skip is one dict
+  lookup and one compare against a limit hoisted out of the loop; it
+  survives the source moving.  A pair the bound does not skip is resolved
+  afresh (``distance`` and ``gain_at``) and its record rewritten.  Radios
+  whose mobility bound is 0 m/s are flagged static at attach and are never
+  sampled again.  Only moving intervals write records (see frozen-interval
+  replay).
 * **One survivor builder per interval kind.**  A scalar loop visits the
   candidate block in attach order and resolves each other radio to a
   received power and a delay, or culls it below the floor.  Its
@@ -154,11 +149,11 @@ _BOUND_SLACK_REL = 1e-9
 
 #: The source's own record in its link table: a key no limit reaches, so
 #: the survivor loop skips the transmitter without an identity test.
-_SELF_RECORD = (math.inf,)
+_SELF_RECORD = math.inf
 
-#: Stand-in for a pair never resolved: no limit is below its key, and no
-#: epoch equals its ``None``s, so it is resolved afresh.
-_NO_RECORD = (-math.inf, None, None)
+#: Stand-in for a pair never resolved: no limit is below it, so it is
+#: resolved.
+_NO_RECORD = -math.inf
 
 #: Event labels of a signal's leading and trailing edge (profiler buckets).
 _START = "phy.sig_start"
@@ -178,17 +173,15 @@ class _RadioEntry:
     ``seq``, matching the list's remove-then-append semantics.
 
     ``static`` is set when the mobility model's speed bound is 0 m/s — the
-    position (and hence the movement epoch) can never change, so the hot
-    fan-out loop reads the attach-time sample ``pos`` / ``epoch`` instead
-    of polling.  For a mobile radio they are refreshed at each reindex, so
-    they hold its position throughout a frozen interval.
-    ``poll_mob`` is the mobility model's bound ``poll`` — the fan-out calls
-    it directly, skipping one Python frame per candidate per transmit.
+    position can never change, so the hot fan-out loop reads the
+    attach-time sample ``pos`` instead of sampling.  For a mobile radio
+    ``pos`` is refreshed at each reindex, so it holds the radio's position
+    throughout a frozen interval.  ``position_at`` is the mobility model's
+    bound ``position_at`` — the fan-out calls it directly, skipping one
+    attribute lookup per candidate per transmit.
     """
 
-    __slots__ = (
-        "radio", "seq", "mobility", "poll_mob", "pos", "epoch", "cell", "static"
-    )
+    __slots__ = ("radio", "seq", "mobility", "position_at", "pos", "cell", "static")
 
     def __init__(self, radio: Radio, seq: int, now: float) -> None:
         self.radio = radio
@@ -196,8 +189,8 @@ class _RadioEntry:
         self.mobility = getattr(radio, "mobility", None)
         self.static = False
         if self.mobility is not None:
-            self.poll_mob = self.mobility.poll
-            self.pos, self.epoch = self.poll_mob(now)
+            self.position_at = self.mobility.position_at
+            self.pos = self.position_at(now)
             self.static = self.mobility.max_speed_mps() == 0.0
         self.cell: tuple[int, int] | None = None
 
@@ -260,16 +253,14 @@ class Channel:
         #: (attach, detach, a radio changing cell) clears it.  Static
         #: scenarios therefore sort each 3×3 block exactly once.
         self._blocks: dict[tuple[int, int], list[_RadioEntry]] = {}
-        #: Per-pair link records: src_seq → {rx_seq: (key, src_epoch,
-        #: rx_epoch, gain, dist)}.  ``gain`` and ``dist`` are reused while
-        #: both epochs match (the epoch gain cache); ``key`` is ``dist +
-        #: drift * t`` for the time ``t`` they were computed, which the
-        #: motion bound compares against one hoisted limit.  A record is
-        #: overwritten whenever its pair is resolved afresh, and a table
+        #: Per-pair link records: src_seq → {rx_seq: dist + drift * t},
+        #: the pair's distance at the time ``t`` it was last resolved, which
+        #: the motion bound compares against one hoisted limit.  A record
+        #: is overwritten whenever its pair is resolved afresh, and a table
         #: holding more than twice its source's candidate block is cleared,
         #: so memory stays O(pairs within a block).  Only moving intervals
         #: write records: a frozen one resolves through replay alone.
-        self._links: dict[int, dict[int, tuple]] = {}
+        self._links: dict[int, dict[int, float]] = {}
         #: Motion bound: how fast any pair can close [m/s] (both ends at
         #: ``max_speed_mps``).
         self._drift_mps = 2.0 * max_speed_mps
@@ -418,7 +409,7 @@ class Channel:
         for entry in self._entries.values():
             if entry.static:
                 continue
-            entry.pos, entry.epoch = entry.poll_mob(now)
+            entry.pos = entry.position_at(now)
             self._move_to_cell(entry, entry.pos)
             until = entry.mobility.still_until(now)
             if until < frozen_until:
@@ -514,23 +505,20 @@ class Channel:
         every radio above the interference floor.  A candidate whose last exact
         distance, shrunk by the most both ends can have closed since
         (``drift * Δt``), still lies beyond the culling reach is skipped
-        unpolled: the brute scan culls it too.  A cached gain and distance
-        are reused only while both endpoints' movement epochs match (so they
-        were computed from identical positions): every power and delay is
-        the float :meth:`_fanout_brute` computes.
+        unsampled: the brute scan culls it too.  Every other candidate is
+        resolved from fresh positions, so every power and delay is the float
+        :meth:`_fanout_brute` computes.
         """
         if entry is None:
             # Unattached transmitter: legal (the brute path allows it), but
             # there is no entry to key the records on — use a throwaway table.
             src_pos = src.position
-            src_epoch = 0
-            links: dict[int, tuple] = {}
+            links: dict[int, float] = {}
         else:
             if entry.static:
                 src_pos = entry.pos
-                src_epoch = entry.epoch
             else:
-                src_pos, src_epoch = entry.poll_mob(now)
+                src_pos = entry.position_at(now)
                 self._move_to_cell(entry, src_pos)
             links = self._links.get(entry.seq)
             if links is None:
@@ -555,22 +543,13 @@ class Channel:
         append = out.append
         for cand in candidates:
             seq = cand.seq
-            rec = get(seq, _NO_RECORD)
-            if rec[0] > limit:
+            if get(seq, _NO_RECORD) > limit:
                 continue
-            if cand.static:
-                rx_pos = cand.pos
-                rx_epoch = cand.epoch
-            else:
-                rx_pos, rx_epoch = cand.poll_mob(now)
-            if rec[1] == src_epoch and rec[2] == rx_epoch:
-                gain = rec[3]
-                dist = rec[4]
-            else:
-                dist = distance(src_pos, rx_pos)
-                gain = gain_at(dist)
-                links[seq] = (dist + drift_now, src_epoch, rx_epoch, gain, dist)
-            rx_power = tx_power * gain
+            dist = distance(
+                src_pos, cand.pos if cand.static else cand.position_at(now)
+            )
+            links[seq] = dist + drift_now
+            rx_power = tx_power * gain_at(dist)
             if rx_power < floor:
                 continue
             append(

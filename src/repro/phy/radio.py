@@ -170,8 +170,8 @@ class Radio:
             may be omitted when ``mobility`` is given.
         mobility: optional mobility model.  When set, the radio's position
             is sampled from it directly, and the channel can use the model's
-            movement-epoch counter to cache per-link gains and keep its
-            spatial index fresh (see :class:`~repro.phy.channel.Channel`).
+            speed bound and still intervals to keep its spatial index fresh
+            and replay fan-outs (see :class:`~repro.phy.channel.Channel`).
         rx_threshold_w: minimum power to decode.
         cs_threshold_w: minimum power to sense carrier.
         capture_threshold: required linear SINR for successful decode.
@@ -492,7 +492,7 @@ class Radio:
         faults = self.faults
         if faults is not None:
             # Link fade: attenuation-only, applied at the receiver so the
-            # channel's culling and gain caches stay untouched.
+            # channel's culling and replay memo stay untouched.
             gain = faults.gains.get(frame.src)
             if gain is not None:
                 rx_power_w *= gain

@@ -45,8 +45,6 @@ class Scripted(MobilityModel):
 
     def __init__(self, a, b, c):
         self._legs = tuple(zip(LEG_ENDS, (a, a, b, b, c), (a, b, b, c, c)))
-        self._epoch = 0
-        self._last = a
 
     def _leg(self, t):
         start = 0.0
@@ -56,23 +54,12 @@ class Scripted(MobilityModel):
             start = end
         raise AssertionError("the last leg never ends")
 
-    def poll(self, t):
-        start, end, p, q = self._leg(t)
-        pos = p
-        if p != q:
-            frac = (t - start) / (end - start)
-            pos = (p[0] + (q[0] - p[0]) * frac, p[1] + (q[1] - p[1]) * frac)
-        if pos != self._last:
-            self._epoch += 1
-            self._last = pos
-        return pos, self._epoch
-
     def position_at(self, t):
-        return self.poll(t)[0]
-
-    @property
-    def epoch(self):
-        return self._epoch
+        start, end, p, q = self._leg(t)
+        if p == q:
+            return p
+        frac = (t - start) / (end - start)
+        return (p[0] + (q[0] - p[0]) * frac, p[1] + (q[1] - p[1]) * frac)
 
     def max_speed_mps(self):
         return SPEED_BOUND_MPS
@@ -173,10 +160,10 @@ def test_scripted_model_keeps_the_still_until_contract():
     claims = []
     for t in times:
         until = m.still_until(t)
-        sample = m.poll(t)
-        for claim_until, pos, epoch in claims:
+        pos = m.position_at(t)
+        for claim_until, claimed in claims:
             if t < claim_until:
-                assert sample == (pos, epoch)
-        claims.append((until, *sample))
+                assert pos == claimed
+        claims.append((until, pos))
     assert m.position_at(7.0) == c
     assert m.still_until(1.0) == 1.5 and m.still_until(2.0) == 2.0

@@ -1,7 +1,7 @@
 """Differential suite: the default fast stack vs the oracle build.
 
 The default build — spatial-index fan-out (one survivor builder,
-epoch-cached gains, static replay) and the fused kernel loop — must produce
+motion-bounded culling, static replay) and the fused kernel loop — must produce
 **bit-identical** :class:`~repro.metrics.ExperimentResult`\\ s (including
 ``events_executed``) to the slowest, most literal execution path: the
 brute-force channel scan and the reference peek-then-pop kernel loop
@@ -178,9 +178,9 @@ class TestDenseBlockEquivalence:
         assert result["sent"] > 0  # non-vacuous: traffic actually flowed
 
     def test_mobile_dense_world(self):
-        """Mobile sources miss the gain cache, so every fan-out resolves its
-        large candidate block through the one survivor builder afresh,
-        bar the pairs the motion bound proves out of reach."""
+        """Mobile sources resolve their large candidate block through the
+        one survivor builder afresh on every fan-out, bar the pairs the
+        motion bound proves out of reach."""
         assert_matches_oracle("basic", mobile=True, n=70, duration_s=3.0, seed=9)
 
 

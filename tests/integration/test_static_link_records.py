@@ -5,7 +5,8 @@ a built and run static PCMAC cell must leave no per-pair link record on
 either channel (data or power-control), and neither may a waypoint cell
 that ends inside its nodes' initial pause.  A waypoint cell that runs past
 the pause still keeps them once the nodes move, because the motion bound
-and the epoch gain cache live in those records.
+lives in those records: one float per pair, its distance plus the drift
+allowance at the time it was last resolved.
 
 The memo keeps each entry as columns: its powers and delays are
 ``array('d')``, which the cyclic collector walks as one object however
@@ -16,6 +17,7 @@ interval's loop resolves afresh.
 from __future__ import annotations
 
 import gc
+import math
 from array import array
 
 from repro.builder import NetworkBuilder
@@ -111,9 +113,10 @@ def test_waypoint_cell_keeps_link_tables(monkeypatch):
     assert moving and min(moving) >= PAUSE_S
     assert chan._links  # the motion bound stays engaged
     drift = 2.0 * 10.0
-    for links in chan._links.values():
-        for record in links.values():
-            if len(record) > 1:
-                key, _, _, _, dist = record
-                # The key is dist + drift * t for a resolve time t >= 3 s.
-                assert key >= dist + drift * PAUSE_S
+    for src_seq, links in chan._links.items():
+        assert links[src_seq] == math.inf  # the source's own record
+        for rx_seq, key in links.items():
+            assert type(key) is float
+            if rx_seq != src_seq:
+                # dist + drift * t for a distance >= 0 resolved at t >= 3 s.
+                assert drift * PAUSE_S <= key < math.inf

@@ -26,7 +26,7 @@ from repro.mobility.waypoint import RandomWaypoint
 from repro.phy import channel as channel_mod
 from repro.phy.channel import Channel
 from repro.phy.frame import PhyFrame
-from repro.phy.propagation import TwoRayGround
+from repro.phy.propagation import TwoRayGround, distance
 from repro.sim.kernel import Simulator
 from tests.conftest import make_radio
 
@@ -276,24 +276,11 @@ class Glide(MobilityModel):
     def __init__(self, x0, vx):
         self.x0 = x0
         self.vx = vx
-        self.polls = 0
-        self._epoch = 0
-        self._last = None
-
-    def poll(self, t):
-        self.polls += 1
-        pos = (self.x0 + self.vx * t, 0.0)
-        if pos != self._last:
-            self._epoch += 1
-            self._last = pos
-        return pos, self._epoch
+        self.samples = 0
 
     def position_at(self, t):
-        return self.poll(t)[0]
-
-    @property
-    def epoch(self):
-        return self._epoch
+        self.samples += 1
+        return (self.x0 + self.vx * t, 0.0)
 
     def max_speed_mps(self):
         return abs(self.vx)
@@ -356,11 +343,11 @@ class TestMotionBound:
         )
         self._beacon(sim, chan, a, [0.01 * k for k in range(1, 51)],
                      self.LOW_POWER_W)
-        before = b.mobility.polls
+        before = b.mobility.samples
         sim.run_until(1.0)
         # The grid's first refresh and the first visit sample it; 50
         # transmits later it still cannot have closed 600 m at 60 m/s.
-        assert b.mobility.polls - before == 2
+        assert b.mobility.samples - before == 2
         assert not log
 
     def test_detach_drops_records_both_ways(self):
@@ -440,7 +427,7 @@ class TestMotionBound:
 
 
 class TestGainCacheInvalidation:
-    """The epoch cache must never serve a gain computed at a stale position."""
+    """A moving pair's gain is never one computed at a stale position."""
 
     def _world(self, mobile):
         return build_world(seed=21, n=2, side_m=400.0, mobile=mobile,
@@ -462,7 +449,7 @@ class TestGainCacheInvalidation:
         replicas = [
             RandomWaypoint(
                 np.random.default_rng(21 * 1009 + i), mob_cfg,
-                radios[i].mobility._last_pos,
+                radios[i].mobility.position_at(0.0),
             )
             for i in (0, 1)
         ]
@@ -480,7 +467,7 @@ class TestGainCacheInvalidation:
         assert len(starts) == 3
         assert [e[4] for e in starts] == expected
         # The node genuinely moved between transmissions, so the powers
-        # must differ — a stale cache would repeat the first value.
+        # must differ — a stale gain would repeat the first value.
         powers = [e[4] for e in starts]
         assert len(set(powers)) == 3
 
@@ -516,29 +503,18 @@ class TestGainCacheInvalidation:
         tx_times = (0.1, 5.0, 12.0)
         for fid, t in enumerate(tx_times, start=1):
             self._transmit_at(sim, chan, radios[0], t, fid)
+        # Both positions just after the last transmit, in time order.
+        last: list = []
+        sim.schedule(tx_times[-1], lambda: last.extend(r.position for r in radios))
         sim.run_until(HORIZON_S)
         assert len([e for e in log if e[0] == "start"]) == 3
         # The source moved between every transmission: its one receiver
-        # record holds the latest epochs and distance, with no residue.
+        # record is the latest distance plus the drift allowance, one
+        # float with no residue.
         links = chan._links[0]
         assert set(links) == {0, 1}
-        key, src_epoch, rx_epoch, _, dist = links[1]
-        assert src_epoch == radios[0].mobility.epoch
-        assert rx_epoch == radios[1].mobility.epoch
-        assert key == dist + 2.0 * SPEED_MPS * tx_times[-1]
-
-    def test_pause_legs_keep_epoch_and_reuse_cache(self):
-        mob = RandomWaypoint(
-            np.random.default_rng(3),
-            MobilityConfig(speed_mps=3.0, pause_s=3.0),
-            (100.0, 100.0),
-        )
-        mob.position_at(0.0)
-        e0 = mob.epoch
-        mob.position_at(1.0)  # still inside the initial 3 s pause
-        assert mob.epoch == e0
-        mob.position_at(10.0)  # moving now
-        assert mob.epoch > e0
+        assert links[0] == math.inf
+        assert links[1] == distance(*last) + 2.0 * SPEED_MPS * tx_times[-1]
 
 
 class TestSpatialIndexGuards:

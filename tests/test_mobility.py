@@ -23,6 +23,7 @@ class TestStatic:
         m = StaticMobility((3.0, 4.0))
         assert m.position_at(0.0) == (3.0, 4.0)
         assert m.position_at(1e6) == (3.0, 4.0)
+        assert m.max_speed_mps() == 0.0
 
 
 class TestRandomWaypoint:
@@ -110,9 +111,17 @@ class TestRandomWaypoint:
         assert m.max_speed_mps() == 4.0
         m.position_at(100.0)  # draws move legs without raising
 
-    def test_position_at_matches_poll(self):
-        """``position_at`` is ``poll``'s position: one trajectory, either
-        entry point, whichever times were sampled before."""
+    def test_max_speed_reported(self):
+        m = RandomWaypoint(np.random.default_rng(1), self.cfg(speed_mps=3.0),
+                           (0.0, 0.0))
+        assert m.max_speed_mps() == 3.0
+        r = RandomWaypoint(np.random.default_rng(1), self.cfg(),
+                           (0.0, 0.0), speed_range=(1.0, 9.0))
+        assert r.max_speed_mps() == 9.0
+
+    def test_skipped_samples_do_not_steer_the_trajectory(self):
+        """The position at ``t`` is the same whichever earlier times were
+        sampled: the channel's motion bound skips samples freely."""
         a = RandomWaypoint(np.random.default_rng(6), self.cfg(pause_s=0.5),
                            (300.0, 700.0))
         b = RandomWaypoint(np.random.default_rng(6), self.cfg(pause_s=0.5),
@@ -121,7 +130,9 @@ class TestRandomWaypoint:
             t = step * 0.1
             if step % 3 == 0:
                 a.position_at(t - 0.05)  # an extra sample changes nothing
-            assert a.position_at(t) == b.poll(t)[0]
+            if step % 5 == 0:
+                assert a.position_at(t) == b.position_at(t)
+        assert a.position_at(400.0) == b.position_at(400.0)
 
     # ------------------------------------------------- pause/boundary edges
 
@@ -221,74 +232,6 @@ class TestPlacement:
         assert len(grid_positions(n, 100.0, 100.0)) == n
 
 
-class TestMovementEpochs:
-    """Epoch counters: bump exactly when a sample returns a new position."""
-
-    def cfg(self, **overrides) -> MobilityConfig:
-        kwargs = dict(speed_mps=3.0, pause_s=3.0, field_width_m=1000.0,
-                      field_height_m=1000.0)
-        kwargs.update(overrides)
-        return MobilityConfig(**kwargs)
-
-    def test_static_epoch_pinned_at_zero(self):
-        m = StaticMobility((3.0, 4.0))
-        assert m.epoch == 0
-        m.position_at(100.0)
-        pos, epoch = m.poll(1e6)
-        assert (pos, epoch) == ((3.0, 4.0), 0)
-        assert m.max_speed_mps() == 0.0
-
-    def test_waypoint_epoch_steady_during_pause(self):
-        m = RandomWaypoint(np.random.default_rng(1), self.cfg(), (10.0, 20.0))
-        assert m.poll(0.0) == ((10.0, 20.0), 0)
-        assert m.poll(2.9) == ((10.0, 20.0), 0)
-
-    def test_waypoint_epoch_bumps_per_sampled_move(self):
-        m = RandomWaypoint(np.random.default_rng(1), self.cfg(), (10.0, 20.0))
-        _, e0 = m.poll(0.0)
-        p1, e1 = m.poll(10.0)   # moving leg
-        assert e1 == e0 + 1 and p1 != (10.0, 20.0)
-        p2, e2 = m.poll(10.0)   # same instant: same position, same epoch
-        assert (p2, e2) == (p1, e1)
-        p3, e3 = m.poll(11.0)   # later sample on the leg: new position
-        assert e3 == e1 + 1 and p3 != p1
-
-    def test_waypoint_epoch_monotone_over_many_samples(self):
-        m = RandomWaypoint(np.random.default_rng(7), self.cfg(pause_s=0.5),
-                           (0.0, 0.0))
-        last = -1
-        for t in range(0, 200):
-            _, e = m.poll(t * 0.5)
-            assert e >= last
-            last = e
-        assert last > 0  # it did actually move at some point
-
-    def test_degenerate_zero_speed_never_bumps(self):
-        m = RandomWaypoint(np.random.default_rng(3), self.cfg(speed_mps=0.0),
-                           (5.0, 5.0))
-        for t in (0.0, 10.0, 1000.0):
-            assert m.poll(t) == ((5.0, 5.0), 0)
-
-    def test_max_speed_reported(self):
-        m = RandomWaypoint(np.random.default_rng(1), self.cfg(speed_mps=3.0),
-                           (0.0, 0.0))
-        assert m.max_speed_mps() == 3.0
-        r = RandomWaypoint(np.random.default_rng(1), self.cfg(),
-                           (0.0, 0.0), speed_range=(1.0, 9.0))
-        assert r.max_speed_mps() == 9.0
-
-    def test_epoch_equality_implies_position_equality(self):
-        """The cache contract, stated as a property over a trajectory."""
-        m = RandomWaypoint(np.random.default_rng(11), self.cfg(pause_s=1.0),
-                           (100.0, 100.0))
-        seen: dict[int, tuple[float, float]] = {}
-        for t in range(0, 300):
-            pos, epoch = m.poll(t * 0.25)
-            if epoch in seen:
-                assert seen[epoch] == pos
-            seen[epoch] = pos
-
-
 class _Draws:
     """Stand-in generator: ``uniform(lo, hi)`` first takes a scripted list
     of fractions of its interval, then draws from a seeded generator.
@@ -346,7 +289,7 @@ class TestZeroLegs:
                              field_width_m=8.0, field_height_m=6.0)
         # Every destination is the centre, where the node already stands.
         m = RandomWaypoint(_Repeating([0.5]), cfg, (4.0, 3.0))
-        assert m.poll(5.0) == ((4.0, 3.0), 0)
+        assert m.position_at(5.0) == (4.0, 3.0)
         assert m.still_until(5.0) == math.inf
         assert m.position_at(1e9) == (4.0, 3.0)
 
@@ -378,8 +321,8 @@ class TestZeroLegs:
 
 
 class TestStillUntil:
-    """``still_until(t)``: every poll in ``[t, still_until(t))`` returns
-    ``poll(t)``'s position and epoch."""
+    """``still_until(t)``: every sample in ``[t, still_until(t))`` returns
+    ``position_at(t)``'s position."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -398,23 +341,23 @@ class TestStillUntil:
                              field_width_m=8.0, field_height_m=6.0)
         m = RandomWaypoint(_Draws(fractions), cfg, (0.0, 0.0),
                            speed_range=speed_range)
-        #: (still_until, position, epoch) claimed at earlier query times.
-        claims: list[tuple[float, tuple[float, float], int]] = []
+        #: (still_until, position) claimed at earlier query times.
+        claims: list[tuple[float, tuple[float, float]]] = []
         t = 0.0
         for i, step in enumerate(steps):
             t += step
             # Ask before and after sampling: either order must hold.
             if i % 2:
-                sample = m.poll(t)
+                pos = m.position_at(t)
                 until = m.still_until(t)
             else:
                 until = m.still_until(t)
-                sample = m.poll(t)
+                pos = m.position_at(t)
             assert until >= t
-            for claim_until, pos, epoch in claims:
+            for claim_until, claimed in claims:
                 if t < claim_until:
-                    assert sample == (pos, epoch)
-            claims.append((until, *sample))
+                    assert pos == claimed
+            claims.append((until, pos))
 
     def test_waypoint_pause_and_move_legs(self):
         cfg = MobilityConfig(speed_mps=3.0, pause_s=3.0)
