@@ -1,4 +1,4 @@
-"""Result fingerprints: eleven short cells pinned to the exact bytes they produce.
+"""Result fingerprints: twelve short cells pinned to the exact bytes they produce.
 
 The differential suite compares two builds of the *same* code, so a change
 made to both sides passes it.  These cells compare against the past
@@ -8,13 +8,14 @@ the same recipe as ``bench/workloads.py::fingerprint``) and pinned below.
 
 Between them the cells cover all four MACs (basic, Scheme 1, Scheme 2 and
 PCMAC), the SINR receiver under basic and PCMAC, random waypoint mobility
-(under basic and PCMAC, moving from t = 0),
-crash/rejoin churn, injected corruption with link fades and noise bursts,
-battery energy with node deaths, and multi-hop static routing whose flows
-have several equal-length shortest paths (so the next-hop tie-break shows).  A change that is
-meant to keep results bit-identical must leave every hash alone; a change
-that is allowed to move results updates the hashes on purpose, in the same
-commit, saying why.
+under basic and PCMAC (moving from t = 0), crash/rejoin churn, injected
+corruption with link fades and noise bursts, battery energy with node
+deaths, an interference floor below carrier sense, and multi-hop static
+routing whose flows have several equal-length shortest paths (so the
+next-hop tie-break shows).  A change that is meant to keep results
+bit-identical must leave every hash alone; a change that is allowed to
+move results updates the hashes on purpose, in the same commit, saying
+why.
 
 Regenerate (only for an intended result change)::
 
@@ -111,6 +112,16 @@ CELLS: dict[str, dict] = {
                       "field_width_m": 500.0, "field_height_m": 500.0}},
         mobility={"name": "waypoint", "params": {}},
     ),
+    # Below carrier sense the channel delivers arrivals too, so the EIFS
+    # flags of a busy period see sub-threshold energy.
+    "pcmac-lowered-floor": _spec(
+        "pcmac",
+        {"node_count": 16, "duration_s": 2.0, "seed": 3,
+         "traffic": {"flow_count": 4, "offered_load_bps": 900000.0},
+         "mobility": _STATIC_FIELD,
+         "phy": {"interference_floor_w": 1e-14}},
+        mobility={"name": "static", "params": {}},
+    ),
     "pcmac-scripted-corruption": _spec(
         "pcmac",
         {"node_count": 8, "duration_s": 3.0, "seed": 7,
@@ -155,6 +166,7 @@ FINGERPRINTS: dict[str, str] = {
     "basic-static": "7885ea9f2be789547a702c0b2b1c94d86b3adc9784832d213454bf50de1b7de1",
     "basic-waypoint-churn": "c357dcffc510385d9d210ee137d7f1c97793f893935f65b090671fe1e6c3aab7",
     "pcmac-battery": "7e92d9a9f7a469820805d4d64f21e5f70c2bffd72ac69f7effcd244df7a7b20a",
+    "pcmac-lowered-floor": "64d0173d40f5ea0498c32bec920215a795ec3043dca01b639e6ddf7ad491c7cd",
     "pcmac-scripted-corruption": "5561c4184b350f1d805dade6bf1a5fd3a65f825030cbc402745be5d9153a60fb",
     "pcmac-sinr-cluster": "ec78587562ef30e3e9b1245bbf03b747ffc4700268624c237611e9e8643a8d4a",
     "pcmac-static": "2c4265430546ed0b63263f13d80b2a6755f90e7aa6f38a5c8e268c5afccd1693",
