@@ -440,12 +440,13 @@ class Radio:
             frame.duration_s, self._finish_tx, label="phy.tx_end"
         )
         if not was_busy:
-            # The own-TX busy edge.  Unlike a sensed edge it keeps the
-            # busy-period flags as they were: a known defect (a stale
-            # ``_busy_saw_foreign`` marks the idle edge after this TX as
-            # failed), pinned by a strict xfail in tests/phy/test_radio.py
-            # and left alone because fixing it moves results.
+            # The own-TX busy edge opens a busy period like a sensed edge
+            # does: foreign energy counts only if it is on air now, so a
+            # sub-threshold arrival that ended before this TX cannot mark
+            # the idle edge after it as failed.
             self._busy_reported = True
+            self._busy_saw_foreign = bool(self._arrivals)
+            self._busy_last_decode = None
             tr = self._tr_cs
             tr.count += 1
             if tr.store:

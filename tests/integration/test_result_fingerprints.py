@@ -166,7 +166,7 @@ FINGERPRINTS: dict[str, str] = {
     "basic-static": "7885ea9f2be789547a702c0b2b1c94d86b3adc9784832d213454bf50de1b7de1",
     "basic-waypoint-churn": "c357dcffc510385d9d210ee137d7f1c97793f893935f65b090671fe1e6c3aab7",
     "pcmac-battery": "7e92d9a9f7a469820805d4d64f21e5f70c2bffd72ac69f7effcd244df7a7b20a",
-    "pcmac-lowered-floor": "64d0173d40f5ea0498c32bec920215a795ec3043dca01b639e6ddf7ad491c7cd",
+    "pcmac-lowered-floor": "48d71ed87008e0ccab69d00589610027d4157a22b12affcd33dcca065283d4a5",
     "pcmac-scripted-corruption": "5561c4184b350f1d805dade6bf1a5fd3a65f825030cbc402745be5d9153a60fb",
     "pcmac-sinr-cluster": "ec78587562ef30e3e9b1245bbf03b747ffc4700268624c237611e9e8643a8d4a",
     "pcmac-static": "2c4265430546ed0b63263f13d80b2a6755f90e7aa6f38a5c8e268c5afccd1693",

@@ -386,13 +386,6 @@ class TestOwnTxEdges:
         assert tracer.count("phy.cs") == 2
         assert [rec.get("busy") for rec in tracer.query("phy.cs")] == [True, False]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: begin_tx's busy edge keeps a stale "
-        "_busy_saw_foreign from an earlier sub-threshold arrival, so the "
-        "idle edge after the node's own TX requests EIFS; fixing it moves "
-        "results (see ROADMAP)",
-    )
     def test_idle_edge_after_own_tx_ignores_earlier_sub_threshold_energy(
         self, sim, radio
     ):
@@ -402,3 +395,15 @@ class TestOwnTxEdges:
         radio.begin_tx(frame(src=0))
         sim.run_until(1.0)
         assert radio.listener.of("idle") == [("idle", False)]
+
+    def test_idle_edge_after_own_tx_counts_energy_on_air_at_its_start(
+        self, sim, radio
+    ):
+        """Foreign energy still on air when the TX starts belongs to the
+        busy period the TX opens, as it would for a sensed busy edge."""
+        hum = frame(src=1)
+        radio.signal_start(hum, CS * 0.5)
+        radio.begin_tx(frame(src=0))
+        radio.signal_end(hum.frame_id)  # gone during the TX
+        sim.run_until(1.0)
+        assert radio.listener.of("idle") == [("idle", True)]
