@@ -51,6 +51,7 @@ and shared through the content-addressed store.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import signal
 import sys
@@ -170,6 +171,8 @@ def _init_worker(queue=None) -> None:
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # The parent's heap is inherited, not garbage: keep full passes off it.
+    gc.freeze()
     global _WORKER_QUEUE
     _WORKER_QUEUE = queue
 
