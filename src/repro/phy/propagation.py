@@ -11,7 +11,7 @@ The paper (and NS-2) use :class:`TwoRayGround`: Friis free-space attenuation
 (``1/d^4``) beyond it.  With the WaveLAN defaults the crossover is ~86 m, so
 the paper's ten power levels span both regimes: the 40–80 m levels resolve by
 the Friis branch and the 90–250 m levels by the two-ray branch (reproduced by
-``benchmarks/test_power_level_table.py``).
+``tests/phy/test_propagation.py``).
 
 Performance: ``gain_at`` sits on the channel fan-out hot path (once per
 candidate receiver per frame), so every derived quantity — wavelength,

@@ -124,8 +124,10 @@ class TestTwoRayGround:
         m = TwoRayGround()
         computed = m.range_for(power_w, cfg.rx_threshold_w)
         # The paper says "roughly correspond"; all levels land within 10 %
-        # (most within 1 %; the 1 mW level computes 43.2 m vs "roughly 40 m").
-        assert computed == pytest.approx(expected_m, rel=0.10)
+        # and all but the two smallest within 1 % (1 mW computes 43.2 m
+        # vs "roughly 40 m", 2 mW 61.1 m vs 60 m).
+        rel = {1e-3: 0.10, 2e-3: 0.02}.get(power_w, 0.01)
+        assert computed == pytest.approx(expected_m, rel=rel)
 
     def test_range_for_spans_both_branches(self):
         m = TwoRayGround()
