@@ -10,6 +10,8 @@ them out of the result index.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.campaign.runner import error_record, run_specs
@@ -148,6 +150,26 @@ class TestPooledContainment:
         finally:
             signal.signal(signal.SIGINT, old_int)
             signal.signal(signal.SIGTERM, old_term)
+            gc.unfreeze()
+
+    def test_worker_init_freezes_the_inherited_heap(self):
+        # A forked worker inherits the parent's heap, which is not
+        # garbage: frozen, it is left out of the full collections a
+        # build runs once the heap has grown by a quarter.
+        import signal
+
+        from repro.campaign.runner import _init_worker
+
+        old_int = signal.getsignal(signal.SIGINT)
+        old_term = signal.getsignal(signal.SIGTERM)
+        gc.unfreeze()
+        try:
+            _init_worker(None)
+            assert gc.get_freeze_count() > 0
+        finally:
+            signal.signal(signal.SIGINT, old_int)
+            signal.signal(signal.SIGTERM, old_term)
+            gc.unfreeze()
 
     @pytest.mark.slow
     def test_hung_worker_times_out_and_bystander_survives(self):
