@@ -126,9 +126,10 @@ class RandomWaypoint(MobilityModel):
     def still_until(self, t: float) -> float:
         """End of the pause leg (or degenerate leg) under way at ``t``.
 
-        Advances the legs exactly as :meth:`position_at` does.  A pause leg holds
-        ``p0``, and so does a leg that goes nowhere (zero speed: ``dx ==
-        dy == 0``), up to its end ``t1``; a genuine move answers ``t``.
+        Advances the legs exactly as :meth:`position_at` does.  A pause
+        leg holds ``p0``, and so does a leg that goes nowhere (zero speed:
+        ``dx == dy == 0``), up to its end ``t1``; a genuine move answers
+        ``t``.
         """
         while t >= self._t1:
             self._next_leg()

@@ -14,7 +14,7 @@ import pytest
 from repro.builder import NetworkBuilder
 from repro.core.control_channel import ControlChannelAgent
 from repro.phy.frame import PhyFrame
-from repro.phy.radio import Radio, RadioError
+from repro.phy.radio import RadioError
 from repro.scenariospec import ComponentSpec, ScenarioSpec
 from repro.sim.trace import Tracer
 from tests.conftest import make_radio
