@@ -62,9 +62,10 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
 * **One survivor builder per interval kind.**  A scalar loop visits the
   candidate block in attach order and resolves each other radio to a
   received power and a delay, or culls it below the floor.  Its
-  ``(rx, rx_power, delay, k)`` rows are the whole per-transmit answer
-  (the frozen interval keeps them as columns); one shared tail numbers
-  them into edges.  The moving interval's loop skips
+  ``(rx, rx_power, delay, k)`` rows, ``k`` being twice the row's index,
+  are the whole per-transmit answer, which
+  :func:`~repro.sim.event.fanout_columns` turns into the kernel's fan-out
+  columns.  The moving interval's loop skips
   the pairs the motion bound rules out and keeps the records; the frozen
   interval's reads the entries' stored positions and keeps nothing.
 * **Frozen-interval replay.**  Each mobility model reports how long its
@@ -75,12 +76,12 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   position and moves it to its cell) and lowered by ``attach``.  While
   ``now`` is below it no radio moves, so the survivor list of each
   ``(source, tx power)`` is built once and replayed on every later
-  transmit.  The memo stores it as columns (a tuple of radios, then
-  ``array('d')`` powers and delays and ``array('I')`` seq offsets): the
-  arrays hold the same IEEE doubles and make no Python object per
-  survivor, so an entry takes about a quarter of a list of tuples' memory
-  and the cyclic garbage collector walks five objects per entry, not one
-  per survivor.  An all-static world is the case that stays frozen
+  transmit.  The memo stores those columns (a tuple of radios, then
+  ``array('d')`` powers and delays, ``array('I')`` seq offsets and the
+  float order bound): the arrays hold the same IEEE doubles and make no
+  Python object per survivor, so an entry takes about a quarter of a
+  list of tuples' memory and the cyclic garbage collector walks five
+  objects per entry, not one per survivor.  An all-static world is the case that stays frozen
   forever (``inf``; static radios are never asked).  The memo is the
   frozen fan-out's only cache: a miss computes the distance and gain of
   every candidate afresh, which is cheaper than keeping a record per pair
@@ -90,17 +91,19 @@ fan-out sub-linear, enabled by ``spatial_index=True``:
   every node on a pause leg, so a mobile cell replays until its first
   node leaves.
 * **Edge batches.**  The brute scan schedules every edge as its own event;
-  the indexed path hands all edges of one transmit to the kernel in one
-  :meth:`~repro.sim.kernel.Simulator.schedule_edges` call, numbered with
-  the seqs those ``schedule`` calls would take (receiver *i* in attach
-  order: start ``next_seq + 2i``, end ``next_seq + 2i + 1``).  The kernel
-  keeps one heap entry per batch and dispatches the edges in the same
-  ``(time, priority, seq)`` order.  Edges are uncancellable, which suits
+  the indexed path hands each transmit's survivor columns to the kernel in
+  one :meth:`~repro.sim.kernel.Simulator.schedule_fanout` call.  The
+  kernel numbers the edges with the seqs the brute scan's ``schedule``
+  calls would take (receiver *i* in attach order: start ``base + 2i``,
+  end ``base + 2i + 1``) and, when it can prove the columns' delay order
+  is the edges' ``(time, priority, seq)`` order, keeps them behind one
+  :class:`~repro.sim.event.EdgeBatch` heap entry that fires each edge
+  straight from the columns: no per-edge tuple, event or sort.  The
+  proof is the memo entry's order bound, the smallest delay gap that
+  float rounding could collapse into a seq-order tie, plus a frame that
+  outlasts its delay spread; a transmit that fails it is scheduled as
+  those ``schedule`` calls instead.  Edges are uncancellable, which suits
   physics: energy in flight always arrives (see :meth:`Channel.detach`).
-  Survivor lists are kept in delay order (each survivor carries its
-  attach-order seq offset), so a batch arrives as its leading edges in
-  time order followed by its trailing edges in time order, and the
-  kernel's sort finds it already sorted, bar exact time ties.
 
 All paths produce bit-identical event schedules (same times, powers and
 tie-breaking order — candidates are visited in attach order); the
@@ -120,11 +123,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from operator import itemgetter
 
 from repro.phy.frame import PhyFrame
 from repro.phy.propagation import PropagationModel, distance
 from repro.phy.radio import Radio
+from repro.sim.event import SIG_END, SIG_START, fanout_columns
 from repro.sim.kernel import Simulator
 from repro.units import SPEED_OF_LIGHT
 
@@ -154,13 +157,6 @@ _SELF_RECORD = math.inf
 #: Stand-in for a pair never resolved: no limit is below it, so it is
 #: resolved.
 _NO_RECORD = -math.inf
-
-#: Event labels of a signal's leading and trailing edge (profiler buckets).
-_START = "phy.sig_start"
-_END = "phy.sig_end"
-
-#: Sort key of a survivor ``(rx, rx_power, delay, k)``: its delay.
-_DELAY = itemgetter(2)
 
 
 class _RadioEntry:
@@ -443,24 +439,20 @@ class Channel:
         reach = self.propagation.range_for(tx_power, self.interference_floor_w)
         return reach + reach * _BOUND_SLACK_REL + _BOUND_SLACK_M
 
-    def _static_survivors(
-        self, entry: _RadioEntry, tx_power: float
-    ) -> tuple[tuple[Radio, ...], array, array, array]:
-        """A frozen interval's survivors as columns, in delay order.
+    def _static_survivors(self, entry: _RadioEntry, tx_power: float) -> tuple:
+        """A frozen interval's survivor columns, stored for replay.
 
-        Returns ``(radios, powers, delays, ks)``: a tuple of radios, the
-        received powers and delays as ``array('d')`` and the seq offsets as
-        ``array('I')``; ``zip`` of them gives the ``(rx, rx_power, delay,
-        k)`` rows :meth:`_survivors` returns.  ``k`` is twice the
-        survivor's attach-order index: its seq offset in the edge batch
-        (see :meth:`_fanout_indexed`).  Built once per ``(source, tx
-        power)`` and frozen interval for replay, which is the
-        only cache: every radio holds still at its entry's ``pos`` (sampled
-        at attach or at the reindex that opened the interval) and sits in
-        that position's cell, so each candidate is resolved straight from
-        it — no link record, no motion bound.  A
-        pair resolved again for another power level yields the same
-        distance and gain floats, so every power and delay is the float
+        The columns of :func:`~repro.sim.event.fanout_columns`, with
+        powers and delays as ``array('d')`` and seq offsets as
+        ``array('I')``: the arrays hold the same IEEE doubles and make no
+        Python object per survivor.
+        Built once per ``(source, tx power)`` and frozen interval, which is
+        the only cache: every radio holds still at its entry's ``pos``
+        (sampled at attach or at the reindex that opened the interval) and
+        sits in that position's cell, so each candidate is resolved
+        straight from it — no link record, no motion bound.  A pair
+        resolved again for another power level yields the same distance
+        and gain floats, so every power and delay is the float
         :meth:`_fanout_brute` computes.
         """
         src_pos = entry.pos
@@ -488,20 +480,20 @@ class Channel:
                     2 * len(out),
                 )
             )
-        out.sort(key=_DELAY)
-        radios, powers, delays, ks = tuple(zip(*out)) or ((), (), (), ())
-        return radios, array("d", powers), array("d", delays), array("I", ks)
+        radios, powers, delays, ks, bound = fanout_columns(out)
+        return (
+            radios, array("d", powers), array("d", delays), array("I", ks), bound
+        )
 
     def _survivors(
         self, src: Radio, entry: _RadioEntry | None, tx_power: float, now: float
-    ) -> list[tuple[Radio, float, float, int]]:
-        """Radios above the floor as ``[(rx, rx_power, delay, k)]``, delay order.
-
-        ``k`` is the seq offset, as in :meth:`_static_survivors`.  A moving
-        interval's list is used once, so it stays a list of rows.
+    ) -> tuple:
+        """Radios above the floor as survivor columns (see
+        :func:`~repro.sim.event.fanout_columns`).
 
         The resolve loop of a moving interval's indexed fan-out (and of an
-        unattached transmitter's).  The candidate block is a superset of
+        unattached transmitter's).  Its columns are used once, so they stay
+        tuples.  The candidate block is a superset of
         every radio above the interference floor.  A candidate whose last exact
         distance, shrunk by the most both ends can have closed since
         (``drift * Δt``), still lies beyond the culling reach is skipped
@@ -560,8 +552,7 @@ class Channel:
                     2 * len(out),
                 )
             )
-        out.sort(key=_DELAY)
-        return out
+        return fanout_columns(out)
 
     # ------------------------------------------------------------------ TX
 
@@ -616,30 +607,28 @@ class Channel:
                 rx.signal_start,
                 args=(frame, rx_power),
                 priority=1,
-                label=_START,
+                label=SIG_START,
             )
             sim.schedule(
                 now + delay + duration,
                 rx.signal_end,
                 args=(frame.frame_id,),
                 priority=0,
-                label=_END,
+                label=SIG_END,
             )
 
     def _fanout_indexed(self, src: Radio, frame: PhyFrame) -> None:
-        """Grid-indexed fan-out: a survivor list, then one edge batch.
+        """Grid-indexed fan-out: survivor columns, handed to the kernel.
 
-        Produces the exact event schedule of :meth:`_fanout_brute`: each
-        survivor takes the seqs the brute scan's ``schedule`` calls would
-        (receiver *i* in attach order: start ``base + 2i``, end
+        Produces the exact event schedule of :meth:`_fanout_brute`:
+        :meth:`~repro.sim.kernel.Simulator.schedule_fanout` numbers each
+        survivor's edges with the seqs the brute scan's ``schedule`` calls
+        would take (receiver *i* in attach order: start ``base + 2i``, end
         ``base + 2i + 1``), so same-time ties break identically.  While the
         world is frozen (``now < _frozen_until``) a ``(source, tx power)``
-        survivor list cannot change, so :meth:`_static_survivors` builds it
-        once as columns and it is replayed through ``zip``; a moving
-        interval runs :meth:`_survivors` per transmit.  One loop builds the
-        edges from either.
-        Survivors come in delay order, so the batch is passed as its
-        leading edges then its trailing edges, each run in time order.
+        survivor set cannot change, so :meth:`_static_survivors` builds its
+        columns once and every later transmit replays them; a moving
+        interval runs :meth:`_survivors` per transmit.
         """
         sim = self.sim
         now = sim.now
@@ -650,29 +639,15 @@ class Channel:
         if now < self._frozen_until and entry is not None:
             key = (entry.seq, tx_power)
             fanouts = self._static_fanouts
-            memo = fanouts.get(key)
-            if memo is None:
-                memo = self._static_survivors(entry, tx_power)
+            cols = fanouts.get(key)
+            if cols is None:
+                cols = self._static_survivors(entry, tx_power)
                 if len(fanouts) >= _STATIC_FANOUT_CAP:
                     fanouts.clear()
-                fanouts[key] = memo
-            hits = zip(*memo)
+                fanouts[key] = cols
         else:
-            hits = self._survivors(src, entry, tx_power, now)
-        duration = frame.duration_s
-        end_args = (frame.frame_id,)
-        base = sim.next_seq
-        starts: list[tuple] = []
-        ends: list[tuple] = []
-        start_edge = starts.append
-        end_edge = ends.append
-        for rx, rx_power, delay, k in hits:
-            t = now + delay
-            seq = base + k
-            start_edge((t, 1, seq, rx.signal_start, (frame, rx_power), _START))
-            end_edge((t + duration, 0, seq + 1, rx.signal_end, end_args, _END))
-        starts += ends
-        sim.schedule_edges(starts)
+            cols = self._survivors(src, entry, tx_power, now)
+        sim.schedule_fanout(cols, frame)
 
     # --------------------------------------------------------------- queries
 

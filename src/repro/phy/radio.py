@@ -482,7 +482,7 @@ class Radio:
 
         Handler contract: the channel delivers this and :meth:`signal_end`
         as kernel events or, on the indexed fan-out, as edges of an
-        uncancellable batch (:meth:`~repro.sim.kernel.Simulator.schedule_edges`).
+        uncancellable batch (:meth:`~repro.sim.kernel.Simulator.schedule_fanout`).
         Either way it runs once, at its own time with ``sim.now`` set, in
         the ``(time, priority, seq)`` order; no :class:`~repro.sim.event.Event`
         need exist for it, so nothing may try to cancel it.  It may

@@ -11,8 +11,12 @@ tuples so ordering comparisons run entirely in C tuple comparison — the
 unique ``seq`` guarantees the :class:`Event` object itself is never compared.
 Profiling showed a dataclass ``__lt__`` here cost ~40 % of total runtime on
 paper-scale runs.  In place of an event, an entry may hold an
-:class:`EdgeBatch`: many uncancellable edges behind one entry keyed by the
-next of them, so most signal edges cost no heap operation at all.
+:class:`EdgeBatch`: the uncancellable signal edges of one transmit, kept
+as the channel's survivor columns behind one entry keyed by the next of
+them, so most signal edges cost no heap operation and no object of their
+own.  :func:`order_bound` is the proof that column order is key order,
+which a batch needs; :func:`fanout_columns` builds the columns and the
+bound from survivor rows.
 
 Cancellation is O(1) lazy: a cancelled event stays in the heap but is skipped
 when popped.  This is the standard approach for simulators with heavy timer
@@ -32,6 +36,8 @@ keep that approach honest on paper-scale runs:
 from __future__ import annotations
 
 import heapq
+import math
+from operator import itemgetter
 from typing import Any, Callable
 
 #: Compaction trigger: purge cancelled heap entries once at least this many
@@ -100,30 +106,126 @@ class Event:
         return f"Event(t={self.time!r}, {self.label or 'anon'}, {state})"
 
 
-class EdgeBatch:
-    """An uncancellable run of edges sharing one heap entry.
+#: Event labels of a signal's leading and trailing edge (profiler buckets).
+SIG_START = "phy.sig_start"
+SIG_END = "phy.sig_end"
 
-    ``edges`` holds ``(time, priority, seq, fn, args, label)`` tuples sorted
-    by the ``(time, priority, seq)`` total order; ``pos`` indexes the next
-    edge to fire.  The batch sits in the heap under that edge's key, so it
-    surfaces exactly when a per-edge :class:`Event` with the same key would
-    (see :meth:`repro.sim.kernel.Simulator.schedule_edges`).
+#: ``order_bound`` scale: two delays ``g`` apart keep their order through
+#: ``(now + d) + duration`` while that sum stays below ``g * 2**50``.
+_ORDER_SCALE = 2.0**50
+
+#: Sort key of a survivor row ``(rx, rx_power, delay, k)``: its delay.
+_DELAY = itemgetter(2)
+
+
+def order_bound(delays, ks) -> float:
+    """The largest edge time under which a batch of these columns is ordered.
+
+    ``delays`` are the survivors' delays in the batch's (ascending) order
+    and ``ks`` their seq offsets.  A batch fires its edges in column order,
+    which is their ``(time, priority, seq)`` order unless float rounding
+    ties two distinct delays that come in seq-descending order: then the
+    tie would put the later column first.  Each time is ``now + d`` (or
+    ``(now + d) + duration``), two roundings of at most half an ulp, so
+    columns whose delays differ by ``g`` stay apart while every time is
+    below ``g * 2**50`` (4 to 8 ulp of it).  The result is that limit for
+    the smallest such gap, ``inf`` when there is none, and 0.0 when no
+    batch can be proven: delays out of order (or NaN), or an equal delay
+    in seq-descending order.  Equal delays in seq order tie exactly, and
+    the tie then breaks by seq in column order too.
+    """
+    bound = math.inf
+    prev_d = -math.inf
+    prev_k = -1
+    for d, k in zip(delays, ks):
+        if not d >= prev_d:
+            return 0.0
+        if k < prev_k:
+            if d == prev_d:
+                return 0.0
+            gap = (d - prev_d) * _ORDER_SCALE
+            if gap < bound:
+                bound = gap
+        prev_d = d
+        prev_k = k
+    return bound
+
+
+def fanout_columns(rows: list) -> tuple:
+    """Survivor rows ``(rx, rx_power, delay, k)`` as :class:`EdgeBatch` columns.
+
+    Returns ``(radios, powers, delays, ks, bound)``: the rows sorted by
+    delay (in place, and stably, so equal delays keep their order), split
+    into tuples, and the :func:`order_bound` of the delays and seq
+    offsets.  ``k`` is twice the row's attach-order index.
+    """
+    rows.sort(key=_DELAY)
+    radios, powers, delays, ks = tuple(zip(*rows)) or ((), (), (), ())
+    return radios, powers, delays, ks, order_bound(delays, ks)
+
+
+class EdgeBatch:
+    """The signal edges of one transmit, behind one heap entry.
+
+    ``cols`` is ``(radios, powers, delays, ks, bound)``: one column entry
+    per receiver, in ascending delay order, with ``ks`` its seq offset
+    (twice its attach-order index) and ``bound`` the :func:`order_bound`
+    of the delays.  The batch adds ``now``, the frame, its ``duration``
+    and ``base``, the first seq it claimed.  With ``n`` receivers it holds
+    ``2n`` edges, never built as objects:
+
+    * edge ``j < n``, the leading edge: ``radios[j].signal_start(frame,
+      powers[j])`` at ``now + delays[j]``, priority 1, seq ``base +
+      ks[j]``;
+    * edge ``n + j``, the trailing edge: ``radios[j].signal_end(frame_id)``
+      at ``(now + delays[j]) + duration``, priority 0, seq ``base + ks[j]
+      + 1``.
+
+    These are the float operations and seqs of the one-by-one
+    ``schedule`` calls the batch stands for.
+    :meth:`repro.sim.kernel.Simulator.schedule_fanout` takes a batch only
+    when column order is provably key order, so ``pos`` (the next edge to
+    fire) just counts up.  The batch sits in the heap under that edge's
+    key, so it surfaces exactly when a per-edge :class:`Event` with the
+    same key would.
 
     ``fn`` is always None: the loops already test ``fn is None`` to skip
     cancelled events, so batches share that one test and are told apart by
     class only off the common path.  A batch is never dead.
     """
 
-    __slots__ = ("edges", "pos")
+    __slots__ = ("cols", "now", "duration", "frame", "base", "n", "pos")
 
     fn = None
 
-    def __init__(self, edges: list[tuple]) -> None:
-        self.edges = edges
+    def __init__(self, cols: tuple, now: float, duration: float, frame, base: int) -> None:
+        self.cols = cols
+        self.now = now
+        self.duration = duration
+        self.frame = frame
+        self.base = base
+        self.n = len(cols[0])
         self.pos = 0
 
+    def key(self, i: int) -> tuple[float, int, int]:
+        """The ``(time, priority, seq)`` key of edge ``i``."""
+        n = self.n
+        delays = self.cols[2]
+        ks = self.cols[3]
+        if i < n:
+            return (self.now + delays[i], 1, self.base + ks[i])
+        j = i - n
+        return ((self.now + delays[j]) + self.duration, 0, self.base + ks[j] + 1)
+
+    def edge(self, i: int) -> tuple[Callable[..., Any], tuple, str]:
+        """``(fn, args, label)`` of edge ``i``."""
+        n = self.n
+        if i < n:
+            return self.cols[0][i].signal_start, (self.frame, self.cols[1][i]), SIG_START
+        return self.cols[0][i - n].signal_end, (self.frame.frame_id,), SIG_END
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EdgeBatch({len(self.edges) - self.pos} of {len(self.edges)} left)"
+        return f"EdgeBatch({2 * self.n - self.pos} of {2 * self.n} left)"
 
 
 def _is_dead(item: "Event | EdgeBatch") -> bool:
@@ -135,7 +237,7 @@ class EventQueue:
     """A binary-heap priority queue of :class:`Event` objects.
 
     The heap also holds :class:`EdgeBatch` entries, pushed by
-    :meth:`repro.sim.kernel.Simulator.schedule_edges`.  :meth:`pop` and
+    :meth:`repro.sim.kernel.Simulator.schedule_fanout`.  :meth:`pop` and
     :meth:`pop_next` return such a batch with its entry removed and its next
     edge already counted out of ``len``; the caller fires that one edge and
     re-queues the rest.  ``len`` counts every unfired edge as one event.

@@ -6,7 +6,7 @@ The kernel is intentionally tiny — all protocol behaviour lives in the PHY /
 MAC / routing layers, which interact with the kernel only through
 :meth:`Simulator.schedule` / :meth:`Simulator.cancel` and :attr:`Simulator.now`
 (the channel also hands over signal edges via
-:meth:`Simulator.schedule_edges`).  That keeps the hot loop (pop event,
+:meth:`Simulator.schedule_fanout`).  That keeps the hot loop (pop event,
 advance clock, call handler) free of indirection, which matters: a full
 paper-scale run executes tens of millions of events.  Profiling (per the
 optimisation guide: measure first) showed the heap operations and handler
@@ -17,12 +17,17 @@ dispatch dominate, so the hot loop is *fused*:
 heap operation per event instead of two Python frames).
 
 Signal edges, ~96 % of a paper run's events, skip most of the per-event
-cost: the channel hands over all edges of one transmit as one
-:class:`~repro.sim.event.EdgeBatch`, which holds a single heap entry keyed
-by its next edge.  The fused loop keeps firing a popped batch's edges while
-the next one still sorts before the heap head, so most edges cost no
-:class:`~repro.sim.event.Event` and no heap operation, and it counts a
-run's edges in ``events_executed`` / ``pending_events`` when the run ends.
+cost: the channel hands over one transmit's survivor columns (receivers,
+powers, delays, seq offsets), and when their delay order provably is the
+edges' ``(time, priority, seq)`` order they become one
+:class:`~repro.sim.event.EdgeBatch`, a single heap entry keyed by its next
+edge.  The fused loop keeps firing a popped batch's edges straight from
+the columns while the next one still sorts before the heap head, so most
+edges cost no tuple, no :class:`~repro.sim.event.Event`, no sort and no
+heap operation, and it counts a run's edges in ``events_executed`` /
+``pending_events`` when the run ends.  A transmit whose order the proof
+cannot show is scheduled as one ``schedule`` call per edge, as the brute
+fan-out does.
 
 The pre-fusion loop survives as ``Simulator(fused=False)`` — the reference
 kernel.  Both dispatch the exact same event sequence (same ``(time,
@@ -51,7 +56,7 @@ from math import isnan
 from time import perf_counter
 from typing import Any, Callable, Iterator
 
-from repro.sim.event import EdgeBatch, Event, EventQueue
+from repro.sim.event import SIG_END, SIG_START, EdgeBatch, Event, EventQueue
 
 
 class SimulationError(RuntimeError):
@@ -221,55 +226,64 @@ class Simulator:
         q._live += 1
         return ev
 
-    @property
-    def next_seq(self) -> int:
-        """Sequence number the next scheduled event or edge takes.
+    def schedule_fanout(self, cols: tuple, frame: Any) -> None:
+        """Schedule the signal edges of one transmit from its survivor columns.
 
-        :meth:`schedule_edges` callers number their edges from here.
-        """
-        return self._queue._seq
+        ``cols`` is ``(radios, powers, delays, ks, bound)`` as
+        :class:`~repro.sim.event.EdgeBatch` describes it: receivers in
+        ascending delay order, each ``k`` twice the receiver's attach-order
+        index, and ``bound`` the :func:`~repro.sim.event.order_bound` of
+        ``delays`` and ``ks``.  Receiver ``j`` gets a leading edge
+        ``radios[j].signal_start(frame, powers[j])`` at ``now + delays[j]``
+        (priority 1, label ``phy.sig_start``) and a trailing edge
+        ``radios[j].signal_end(frame.frame_id)`` at ``(now + delays[j]) +
+        frame.duration_s`` (priority 0, ``phy.sig_end``).  Each edge takes
+        the seq the one-by-one :meth:`schedule` calls for the receivers in
+        attach order would give it: start ``k``, end ``k + 1`` past the
+        next seq.  Dispatch is so identical: same order, ``now`` set to
+        each edge's time, one ``events_executed`` and one
+        ``pending_events`` per edge, and the profiler attributes each edge
+        to its label.
 
-    def schedule_edges(self, edges: list[tuple]) -> None:
-        """Schedule an uncancellable batch of edges under one heap entry.
-
-        ``edges`` are ``(time, priority, seq, fn, args, label)`` tuples
-        numbered with the seqs the caller's one-by-one :meth:`schedule`
-        calls would take: ``next_seq``, ``next_seq + 1``, ... in call
-        order.  They may be passed in any order; the list is sorted here,
-        and a caller that passes it nearly sorted saves most of the sort.
-        Each edge so keeps the key that call would give it, and dispatch is
-        identical: same order, ``now`` set to each edge's time, one
-        ``events_executed`` and one ``pending_events`` per edge, and the
-        profiler attributes each edge to its ``label``.  No
+        When the columns' order is provably the edges' key order, they go
+        behind one :class:`~repro.sim.event.EdgeBatch` heap entry and no
         :class:`~repro.sim.event.Event` exists for an edge, so an edge
-        cannot be cancelled: batch only edges that must always fire.
-
-        ``args`` must be a tuple.  Times must be finite and ``>= now``; the
-        earliest is checked, as are the seqs of the first and last edge
-        passed.  The list is sorted in place and belongs to the kernel from
-        then on.
+        cannot be cancelled: energy in flight always arrives.  The proof
+        needs every leading edge before every trailing one (the last start
+        before the first end, so the frame outlasts its delay spread) and
+        every edge time below ``bound``.  Otherwise the edges are those
+        :meth:`schedule` calls, made here in attach order.  Delays must be
+        non-negative; the earliest is checked.
         """
-        n = len(edges)
+        radios, powers, delays, ks, bound = cols
+        n = len(radios)
         if not n:
             return
-        q = self._queue
-        seq = q._seq
-        last = seq + n
-        if not (seq <= edges[0][2] < last and seq <= edges[-1][2] < last):
+        now = self._now
+        first = delays[0]
+        if not first >= 0.0:
             raise SimulationError(
-                f"edge seqs {edges[0][2]}..{edges[-1][2]} must lie in "
-                f"next_seq {seq} to {last - 1}"
+                f"cannot schedule a signal edge at delay {first!r} "
+                f"(now={now!r}, frame {frame.frame_id!r})"
             )
-        edges.sort()
-        first = edges[0]
-        if not first[0] >= self._now:
-            raise SimulationError(
-                f"cannot schedule an edge at t={first[0]!r} before "
-                f"now={self._now!r} ({first[5] or first[3]!r})"
-            )
-        heappush(q._heap, (first[0], first[1], first[2], EdgeBatch(edges)))
-        q._seq = seq + n
-        q._live += n
+        duration = frame.duration_s
+        t = now + first
+        last = now + delays[-1]
+        if last + duration < bound and last < t + duration:
+            q = self._queue
+            seq = q._seq
+            batch = EdgeBatch(cols, now, duration, frame, seq)
+            heappush(q._heap, (t, 1, seq + ks[0], batch))
+            q._seq = seq + n + n
+            q._live += n + n
+            return
+        schedule = self.schedule
+        end_args = (frame.frame_id,)
+        for j in sorted(range(n), key=ks.__getitem__):
+            rx = radios[j]
+            t = now + delays[j]
+            schedule(t, rx.signal_start, 1, SIG_START, (frame, powers[j]))
+            schedule(t + duration, rx.signal_end, 0, SIG_END, end_args)
 
     def cancel(self, event: Event | None) -> None:
         """Cancel a previously scheduled event (no-op on None / already done).
@@ -325,14 +339,16 @@ class Simulator:
         showed is measurable at paper scale.  Queue bookkeeping (``_live`` /
         ``_dead``) is maintained exactly as ``pop_next`` does.
 
-        A popped edge batch keeps firing edges while the next one sorts
-        before the heap head (a plain tuple compare: seqs are unique), lies
-        within ``end_time`` and no ``stop()`` came; then it is re-queued
-        under that edge's key.  The edges of such a run are counted in
-        ``events_executed`` and out of ``pending_events`` once, when the
-        run ends: two integer updates per run instead of per edge, each of
-        which allocated a new int.  A read of either from a handler
-        meanwhile adds the run's progress (``batch.pos`` is kept current).
+        A popped edge batch keeps firing edges straight from its columns
+        while the next one sorts before the heap head, lies within
+        ``end_time`` and no ``stop()`` came; then it is re-queued under
+        that edge's key.  The head's time decides almost every compare;
+        the next edge's key tuple is built only on a time tie.  The edges
+        of such a run are counted in ``events_executed`` and out of
+        ``pending_events`` once, when the run ends: two integer updates per
+        run instead of per edge, each of which allocated a new int.  A
+        read of either from a handler meanwhile adds the run's progress
+        (``batch.pos`` is kept current).
         """
         queue = self._queue
         heap = queue._heap
@@ -345,41 +361,65 @@ class Simulator:
                     heappop(heap)  # a cancelled event
                     queue._dead -= 1
                     continue
-                if entry[0] > end_time:
+                t = entry[0]
+                if t > end_time:
                     break
                 heappop(heap)
-                edges = ev.edges
+                radios, powers, delays, ks, _ = ev.cols
+                now0 = ev.now
+                duration = ev.duration
+                frame = ev.frame
+                base = ev.base
+                n = ev.n
+                m = n + n
                 i = first = ev.pos
-                n = len(edges)
                 self._batch_run = (ev, first)
                 try:
                     while True:
-                        edge = edges[i]
-                        i += 1
-                        ev.pos = i
-                        self._now = edge[0]
-                        edge[3](*edge[4])
-                        if i == n:
-                            break
-                        nxt = edges[i]
-                        if (
-                            self._stopped
-                            or nxt[0] > end_time
-                            or (heap and heap[0] < nxt)
-                        ):
-                            heappush(heap, (nxt[0], nxt[1], nxt[2], ev))
-                            break
+                        # Edge i is due at t and leads the queue.
+                        ev.pos = i + 1
+                        self._now = t
+                        if i < n:
+                            radios[i].signal_start(frame, powers[i])
+                            i += 1
+                            if i < n:
+                                t = now0 + delays[i]
+                            else:
+                                t = (now0 + delays[0]) + duration
+                        else:
+                            j = i - n
+                            radios[j].signal_end(frame.frame_id)
+                            i += 1
+                            if i == m:
+                                break
+                            t = (now0 + delays[j + 1]) + duration
+                        if not self._stopped and t <= end_time:
+                            if not heap:
+                                continue
+                            head = heap[0]
+                            if head[0] > t:
+                                continue
+                        else:
+                            head = None
+                        if i < n:
+                            key = (t, 1, base + ks[i], ev)
+                        else:
+                            key = (t, 0, base + ks[i - n] + 1, ev)
+                        if head is not None and head[0] == t and key < head:
+                            continue
+                        heappush(heap, key)
+                        break
                 except BaseException:
                     # A handler raised: the unfired edges stay queued, as
                     # per-edge events would.
-                    if i < n:
-                        nxt = edges[i]
-                        heappush(heap, (nxt[0], nxt[1], nxt[2], ev))
+                    if ev.pos < m:
+                        heappush(heap, (*ev.key(ev.pos), ev))
                     raise
                 finally:
                     self._batch_run = None
-                    queue._live -= i - first
-                    self._events_executed += i - first
+                    fired = ev.pos - first
+                    queue._live -= fired
+                    self._events_executed += fired
                 if self._stopped:
                     break
                 continue
@@ -399,24 +439,22 @@ class Simulator:
                 break
 
     def _take_edge(self, batch: EdgeBatch) -> tuple:
-        """Advance to ``batch``'s next edge, re-queue the rest, return it.
+        """Advance to ``batch``'s next edge, re-queue the rest, return the
+        edge's ``(fn, args, label)``.
 
         The caller popped the batch (which counted the edge out of
         ``pending_events``) and fires the returned edge.  Shared by the
         reference loop, the profiled loop and :meth:`step`; the fused loop
         inlines the same steps.
         """
-        edges = batch.edges
         i = batch.pos
-        edge = edges[i]
-        i += 1
-        if i < len(edges):
-            batch.pos = i
-            nxt = edges[i]
-            heappush(self._queue._heap, (nxt[0], nxt[1], nxt[2], batch))
-        self._now = edge[0]
+        t = batch.key(i)[0]
+        batch.pos = i + 1
+        if i + 1 < batch.n + batch.n:
+            heappush(self._queue._heap, (*batch.key(i + 1), batch))
+        self._now = t
         self._events_executed += 1
-        return edge
+        return batch.edge(i)
 
     def _run_profiled(self, end_time: float) -> None:
         """The fused loop with a ``perf_counter`` pair around each dispatch.
@@ -436,7 +474,7 @@ class Simulator:
             if ev is None:
                 break
             if ev.__class__ is EdgeBatch:
-                _, _, _, fn, args, label = self._take_edge(ev)
+                fn, args, label = self._take_edge(ev)
             else:
                 self._now = ev.time
                 fn = ev.fn
@@ -474,8 +512,8 @@ class Simulator:
                 break
             ev = queue.pop()
             if ev.__class__ is EdgeBatch:
-                edge = self._take_edge(ev)
-                edge[3](*edge[4])
+                fn, args, _ = self._take_edge(ev)
+                fn(*args)
                 continue
             assert ev is not None and ev.fn is not None
             self._now = ev.time
@@ -501,8 +539,8 @@ class Simulator:
         if ev is None:
             return False
         if ev.__class__ is EdgeBatch:
-            edge = self._take_edge(ev)
-            edge[3](*edge[4])
+            fn, args, _ = self._take_edge(ev)
+            fn(*args)
             return True
         assert ev.fn is not None
         self._now = ev.time

@@ -200,7 +200,11 @@ class Stream:
     def random(self, size=None):
         """Uniform float(s) in ``[0, 1)`` with 53 random bits."""
         if size is None:
-            return (self._next64() >> 11) * _TO_UNIT
+            # _next64 inlined: this is the radio's per-edge corruption draw.
+            self._state = s = (self._state * _PCG_MULT + self._inc) & _M128
+            x = ((s >> 64) ^ s) & _M64
+            rot = s >> 122
+            return ((((x >> rot) | (x << (64 - rot))) & _M64) >> 11) * _TO_UNIT
         return _fill(self.random, size)
 
     def uniform(self, low=0.0, high=1.0, size=None):

@@ -8,10 +8,11 @@ the pause still keeps them once the nodes move, because the motion bound
 lives in those records: one float per pair, its distance plus the drift
 allowance at the time it was last resolved.
 
-The memo keeps each entry as columns: its powers and delays are
-``array('d')``, which the cyclic collector walks as one object however
-many survivors it holds, and replaying an entry gives the rows the moving
-interval's loop resolves afresh.
+The memo keeps each entry as the kernel's fan-out columns: its powers and
+delays are ``array('d')``, which the cyclic collector walks as one object
+however many survivors it holds, and a replayed entry equals, column by
+column and in its order bound, the columns the moving interval's loop
+resolves afresh.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def test_replay_memo_is_columns_that_replay_as_a_fresh_resolve():
         entries = {entry.seq: entry for entry in chan._entries.values()}
         assert chan._static_fanouts
         for (seq, tx_power), memo in chan._static_fanouts.items():
-            radios, powers, delays, ks = memo
+            radios, powers, delays, ks, bound = memo
             for column in (powers, delays):
                 assert type(column) is array and column.typecode == "d"
                 # The collector sees a column as one object: no survivor's
@@ -83,9 +84,13 @@ def test_replay_memo_is_columns_that_replay_as_a_fresh_resolve():
                     isinstance(ref, float) for ref in gc.get_referents(column)
                 )
             assert len(radios) == len(powers) == len(delays) == len(ks)
+            assert type(bound) is float
             entry = entries[seq]
             fresh = chan._survivors(entry.radio, entry, tx_power, net.sim.now)
-            assert list(zip(*memo)) == fresh
+            assert len(fresh) == len(memo)
+            for column, fresh_column in zip(memo[:4], fresh[:4]):
+                assert list(column) == list(fresh_column)
+            assert bound == fresh[4]
 
 
 def test_waypoint_cell_inside_its_pause_replays(monkeypatch):

@@ -28,6 +28,7 @@ from repro.phy.channel import Channel
 from repro.phy.frame import PhyFrame
 from repro.phy.propagation import TwoRayGround, distance
 from repro.sim.kernel import Simulator
+from repro.units import SPEED_OF_LIGHT
 from tests.conftest import make_radio
 
 PHY = PhyConfig()
@@ -515,6 +516,89 @@ class TestGainCacheInvalidation:
         assert set(links) == {0, 1}
         assert links[0] == math.inf
         assert links[1] == distance(*last) + 2.0 * SPEED_MPS * tx_times[-1]
+
+
+class TestOrderingGuard:
+    """Survivor columns whose edge order the kernel's batch cannot prove
+    are scheduled edge by edge, and still match the brute scan run on the
+    reference loop, transmit by transmit."""
+
+    def _run(self, positions, frames, *, spatial_index, fused):
+        """Radio 0 sends ``frames`` (``[(time, PhyFrame)]``); returns the
+        edge log and, per transmit, how it reached the kernel."""
+        sim = Simulator(fused=fused)
+        chan = Channel(
+            sim, TwoRayGround(), interference_floor_w=PHY.interference_floor_w,
+            spatial_index=spatial_index, max_tx_power_w=MAX_POWER_W,
+        )
+        log: list = []
+        radios = [
+            RecordingRadio(sim, i, StaticMobility(pos), log)
+            for i, pos in enumerate(positions)
+        ]
+        for radio in radios:
+            chan.attach(radio)
+        paths: list[str] = []
+
+        def send(frame):
+            heap = sim._queue._heap
+            before = len(heap)
+            chan.transmit(radios[0], frame)
+            # A batch is one heap entry; edge by edge, two per receiver.
+            paths.append("batch" if len(heap) - before == 1 else "edges")
+
+        for t, frame in frames:
+            sim.schedule(t, send, args=(frame,))
+        sim.run_until(HORIZON_S)
+        return log, paths
+
+    def _check(self, positions, frames, path):
+        oracle, brute_paths = self._run(
+            positions, frames, spatial_index=False, fused=False
+        )
+        assert set(brute_paths) == {"edges"}
+        log, paths = self._run(positions, frames, spatial_index=True, fused=True)
+        assert log == oracle and oracle
+        assert paths == [path] * len(frames)
+        return oracle
+
+    def _frame(self, fid, size_bytes=100, bitrate_bps=2e6):
+        return PhyFrame(
+            payload=None, size_bytes=size_bytes, bitrate_bps=bitrate_bps,
+            plcp_s=0.0, tx_power_w=MAX_POWER_W, src=0, frame_id=fid,
+        )
+
+    def _rounding_tie(self, far_first):
+        near, far = (100.0, 0.0), (100.00000001, 0.0)
+        delays = [distance((0.0, 0.0), p) / SPEED_OF_LIGHT for p in (near, far)]
+        frames = [(1.0, self._frame(1)), (5.0, self._frame(2))]
+        for t, _ in frames:  # distinct delays that round to one edge time
+            assert delays[0] != delays[1] and t + delays[0] == t + delays[1]
+        receivers = [far, near] if far_first else [near, far]
+        return [(0.0, 0.0)] + receivers, frames
+
+    def test_a_later_attached_nearer_radio_in_a_rounding_tie(self):
+        """Delay order puts the nearer radio first; the tied edge times
+        put the earlier-attached one first.  Both the memo fill (t = 1) and
+        its replay (t = 5) fall back."""
+        positions, frames = self._rounding_tie(far_first=True)
+        log = self._check(positions, frames, "edges")
+        assert [e[2] for e in log if e[0] == "start"] == [1, 2, 1, 2]
+
+    def test_the_same_tie_in_attach_order_is_batched(self):
+        positions, frames = self._rounding_tie(far_first=False)
+        log = self._check(positions, frames, "batch")
+        assert [e[2] for e in log if e[0] == "start"] == [1, 2, 1, 2]
+
+    def test_a_frame_shorter_than_its_delay_spread(self):
+        """An 80 ns frame to radios 10 m and 300 m away: the near radio's
+        end comes before the far radio's start."""
+        positions = [(0.0, 0.0), (300.0, 0.0), (10.0, 0.0)]
+        frames = [(1.0, self._frame(1, size_bytes=1, bitrate_bps=1e8))]
+        log = self._check(positions, frames, "edges")
+        assert [(e[0], e[2]) for e in log] == [
+            ("start", 2), ("end", 2), ("start", 1), ("end", 1),
+        ]
 
 
 class TestSpatialIndexGuards:

@@ -4,12 +4,14 @@ collector pause."""
 from __future__ import annotations
 
 import gc
+import math
 
 import pytest
 
-from repro.sim.event import COMPACT_MIN_DEAD
+from repro.sim.event import COMPACT_MIN_DEAD, EdgeBatch, order_bound
 from repro.sim.kernel import SimulationError, Simulator, collector_paused
 from tests.sim.collector import grow_heap_by_a_third
+from tests.sim.fanout import Frame, Receiver, schedule_fanout
 
 
 class TestClock:
@@ -152,55 +154,60 @@ class TestExecution:
         assert peak_heap[0] <= COMPACT_MIN_DEAD
 
 
-def _edges(sim, items, fn):
-    """Edge tuples for ``[(time, priority)]``, numbered from ``next_seq``."""
-    seq = sim.next_seq
-    return [(t, p, seq + k, fn, (k,), "edge") for k, (t, p) in enumerate(items)]
+def _fanout(sim, delays, duration=1.0, hook=None, log=None):
+    """A fan-out to one receiver per delay (named by attach index); returns
+    the log its edges write."""
+    log = [] if log is None else log
+    rows = [
+        (Receiver(sim, k, log, hook), float(k + 1), delay)
+        for k, delay in enumerate(delays)
+    ]
+    schedule_fanout(sim, rows, Frame(duration, frame_id=9))
+    return log
+
+
+def _batched(sim) -> bool:
+    return any(entry[3].__class__ is EdgeBatch for entry in sim._queue._heap)
 
 
 class TestEdgeBatches:
     def test_edges_fire_in_key_order_and_count_one_by_one(self, sim):
-        fired = []
-        sim.schedule_edges(
-            _edges(sim, [(2.0, 1), (1.0, 0), (1.0, 1), (2.0, 0)],
-                   lambda k: fired.append((sim.now, k)))
-        )
-        assert sim.pending_events == 4 and sim.next_seq == 4
-        sim.run_until(1.5)
-        assert fired == [(1.0, 1), (1.0, 2)]
-        assert sim.events_executed == 2 and sim.pending_events == 2
+        fired = _fanout(sim, [0.5, 0.0])
+        assert _batched(sim)
+        assert sim.pending_events == 4 and sim.schedule(9.0, print).seq == 4
+        sim.run_until(0.75)
+        assert fired == [("start", 0.0, 1, 2.0), ("start", 0.5, 0, 1.0)]
+        assert sim.events_executed == 2 and sim.pending_events == 3
         sim.run_until(3.0)
-        assert fired[2:] == [(2.0, 3), (2.0, 0)]
-        assert sim.events_executed == 4 and sim.pending_events == 0
+        assert fired[2:] == [("end", 1.0, 1, 9), ("end", 1.5, 0, 9)]
+        assert sim.events_executed == 4 and sim.pending_events == 1
 
     def test_events_interleave_with_a_batch(self, sim):
-        order = []
-        sim.schedule_edges(_edges(sim, [(1.0, 0), (3.0, 0)], order.append))
-        sim.schedule(2.0, lambda: order.append("event"))
+        order = _fanout(sim, [0.0])
+        sim.schedule(0.5, lambda: order.append("event"))
         sim.run_until(5.0)
-        assert order == [0, "event", 1]
+        assert [item if isinstance(item, str) else item[0] for item in order] == [
+            "start", "event", "end",
+        ]
 
     def test_step_takes_one_edge(self, sim):
-        fired = []
-        sim.schedule_edges(_edges(sim, [(1.0, 0), (2.0, 0)], fired.append))
-        assert sim.step() and fired == [0] and sim.now == 1.0
+        fired = _fanout(sim, [1.0])
+        assert sim.step() and fired == [("start", 1.0, 0, 1.0)] and sim.now == 1.0
         assert sim.pending_events == 1
-        assert sim.step() and fired == [0, 1]
+        assert sim.step() and fired[1:] == [("end", 2.0, 0, 9)]
         assert not sim.step()
 
     def test_edges_may_come_in_any_order(self, sim):
-        """Leading edges then trailing ones, as the channel passes them."""
-        fired = []
-        seq = sim.next_seq
-        sim.schedule_edges([
-            (1.0, 1, seq, fired.append, ("s0",), "edge"),
-            (1.5, 1, seq + 2, fired.append, ("s1",), "edge"),
-            (2.0, 0, seq + 1, fired.append, ("e0",), "edge"),
-            (2.5, 0, seq + 3, fired.append, ("e1",), "edge"),
-        ])
+        """Receivers come in any attach order; their edges fire in key
+        order, equal delays in attach order."""
+        fired = _fanout(sim, [0.5, 0.25, 0.25])
+        assert _batched(sim)
         sim.run_until(5.0)
-        assert fired == ["s0", "s1", "e0", "e1"]
-        assert sim.events_executed == 4 and sim.next_seq == 4
+        assert [(edge, t, k) for edge, t, k, _ in fired] == [
+            ("start", 0.25, 1), ("start", 0.25, 2), ("start", 0.5, 0),
+            ("end", 1.25, 1), ("end", 1.25, 2), ("end", 1.5, 0),
+        ]
+        assert sim.events_executed == 6
 
     @pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
     def test_handlers_read_per_edge_counters(self, fused):
@@ -209,49 +216,124 @@ class TestEdgeBatches:
         sim = Simulator(fused=fused)
         seen = []
 
-        def edge(k):
-            seen.append((k, sim.events_executed, sim.pending_events))
+        def edge(kind):
+            seen.append((kind, sim.events_executed, sim.pending_events))
 
         sim.schedule(0.5, lambda: None)
-        sim.schedule_edges(_edges(sim, [(1.0, 0), (1.0, 1), (2.0, 0)], edge))
-        sim.schedule(3.0, lambda: seen.append(("ev", sim.events_executed,
-                                               sim.pending_events)))
+        _fanout(sim, [1.0, 1.0], duration=0.5, hook=edge)
+        sim.schedule(3.0, lambda: edge("ev"))
         sim.run_until(5.0)
-        assert seen == [(0, 2, 3), (1, 3, 2), (2, 4, 1), ("ev", 5, 0)]
+        assert seen == [
+            ("start", 2, 4), ("start", 3, 3), ("end", 4, 2), ("end", 5, 1),
+            ("ev", 6, 0),
+        ]
 
     def test_empty_batch_is_a_no_op(self, sim):
-        sim.schedule_edges([])
-        assert sim.pending_events == 0 and sim.next_seq == 0
+        _fanout(sim, [])
+        assert sim.pending_events == 0 and sim.schedule(1.0, print).seq == 0
 
-    def test_stale_seqs_are_rejected(self, sim):
-        edges = _edges(sim, [(1.0, 0)], print)
-        sim.schedule(0.5, lambda: None)  # takes the seq the edges reserved
-        with pytest.raises(SimulationError):
-            sim.schedule_edges(edges)
-        assert sim.pending_events == 1
+    def test_seqs_are_taken_at_schedule_time(self, sim):
+        """A fan-out numbers its edges from the next seq when it is
+        scheduled, after any event scheduled before it."""
+        order = []
+        sim.schedule(1.0, lambda: order.append("before"), priority=1)
+        _fanout(sim, [1.0], log=order)
+        sim.schedule(1.0, lambda: order.append("after"), priority=1)
+        sim.run_until(5.0)
+        assert [item if isinstance(item, str) else item[0] for item in order] == [
+            "before", "start", "after", "end",
+        ]
 
     def test_edges_in_the_past_are_rejected(self, sim):
         sim.run_until(1.0)
         with pytest.raises(SimulationError):
-            sim.schedule_edges(_edges(sim, [(2.0, 0), (0.5, 0)], print))
-        assert sim.pending_events == 0 and sim.next_seq == 0
+            _fanout(sim, [-0.5, 2.0])
+        assert sim.pending_events == 0
 
     @pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
     def test_a_raising_edge_leaves_the_rest_queued(self, fused):
         sim = Simulator(fused=fused)
-        fired = []
 
-        def edge(k):
-            fired.append(k)
-            if k == 0:
+        def edge(kind):
+            if len(fired) == 1:
                 raise RuntimeError("handler failed")
 
-        sim.schedule_edges(_edges(sim, [(1.0, 0), (2.0, 0)], edge))
+        fired = _fanout(sim, [1.0], hook=edge)
         with pytest.raises(RuntimeError):
             sim.run_until(5.0)
-        assert sim.pending_events == 1
+        assert sim.pending_events == 1 and sim.events_executed == 1
         sim.run_until(5.0)
-        assert fired == [0, 1] and sim.events_executed == 2
+        assert [item[0] for item in fired] == ["start", "end"]
+        assert sim.events_executed == 2
+
+
+class TestUnprovableOrder:
+    """Columns whose order the batch cannot prove are scheduled as the
+    one-by-one ``schedule`` calls, in attach order."""
+
+    def test_a_frame_shorter_than_its_delay_spread(self, sim):
+        fired = _fanout(sim, [2.0, 0.0], duration=1.0)
+        assert not _batched(sim) and sim.pending_events == 4
+        sim.run_until(5.0)
+        assert [(edge, t, k) for edge, t, k, _ in fired] == [
+            ("start", 0.0, 1), ("end", 1.0, 1), ("start", 2.0, 0), ("end", 3.0, 0),
+        ]
+
+    def test_a_trailing_edge_at_a_leading_edges_time_fires_first(self, sim):
+        """Priority 0 wins the tie, so the end cannot wait behind the start."""
+        fired = _fanout(sim, [1.0, 0.0], duration=1.0)
+        assert not _batched(sim)
+        sim.run_until(5.0)
+        assert [(edge, t, k) for edge, t, k, _ in fired] == [
+            ("start", 0.0, 1), ("end", 1.0, 1), ("start", 1.0, 0), ("end", 2.0, 0),
+        ]
+
+    def test_delays_that_round_to_a_tie(self, sim):
+        """At now = 1, 0.25 and the next float up both give 1.25; the tie
+        then breaks by seq, which puts the farther, earlier-attached
+        receiver first."""
+        sim.run_until(1.0)
+        near = 0.25
+        far = math.nextafter(near, 1.0)
+        assert 1.0 + far == 1.0 + near
+        fired = _fanout(sim, [far, near])
+        assert not _batched(sim)
+        sim.run_until(5.0)
+        assert [(edge, k) for edge, _, k, _ in fired] == [
+            ("start", 0), ("start", 1), ("end", 0), ("end", 1),
+        ]
+
+    def test_the_same_delays_in_seq_order_are_batched(self, sim):
+        sim.run_until(1.0)
+        near = 0.25
+        far = math.nextafter(near, 1.0)
+        fired = _fanout(sim, [near, far])
+        assert _batched(sim)
+        sim.run_until(5.0)
+        assert [(edge, k) for edge, _, k, _ in fired] == [
+            ("start", 0), ("start", 1), ("end", 0), ("end", 1),
+        ]
+
+
+class TestOrderBound:
+    def test_seq_order_bounds_nothing(self):
+        assert order_bound((0.0, 0.0, 1e-9, 3e-9), (0, 2, 4, 6)) == math.inf
+
+    def test_the_smallest_seq_descending_gap_bounds(self):
+        bound = order_bound((0.0, 1e-6, 1.5e-6, 4e-6), (6, 4, 0, 2))
+        assert bound == (1.5e-6 - 1e-6) * 2.0**50
+
+    @pytest.mark.parametrize(
+        "delays, ks",
+        [
+            ((1e-6, 1e-6), (2, 0)),  # an exact tie against seq order
+            ((2e-6, 1e-6), (0, 2)),  # not in delay order
+            ((0.0, math.nan), (0, 2)),
+        ],
+        ids=["tie", "unsorted", "nan"],
+    )
+    def test_unprovable_columns_bound_to_zero(self, delays, ks):
+        assert order_bound(delays, ks) == 0.0
 
 
 @pytest.mark.usefixtures("collector_on")
@@ -261,9 +343,9 @@ class TestCollectorPause:
         sim = Simulator(fused=fused)
         seen = []
         sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
-        sim.schedule_edges(_edges(sim, [(2.0, 0)], lambda k: seen.append(gc.isenabled())))
+        _fanout(sim, [2.0], hook=lambda kind: seen.append(gc.isenabled()))
         sim.run_until(5.0)
-        assert seen == [False, False]
+        assert seen == [False, False, False]
         assert gc.isenabled()
 
     def test_profiled_handlers_run_with_the_collector_paused(self, sim):

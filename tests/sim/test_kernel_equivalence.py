@@ -6,13 +6,15 @@ must dispatch the *exact* event sequence of the reference peek-then-pop loop
 under any interleaving of scheduling, cancellation and heap compaction.
 These tests drive both loops with identical scripts (including handlers
 that schedule and cancel further events while running) and whole paper
-scenarios, and compare field by field.  Edge batches
-(``Simulator.schedule_edges``) must dispatch like the individual
-``schedule`` calls they stand for, in every loop and under ``step()``.
+scenarios, and compare field by field.  A fan-out
+(``Simulator.schedule_fanout``) must dispatch like the individual
+``schedule`` calls it stands for, in every loop and under ``step()``,
+whether it became one edge batch or fell back to those calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, replace
 
 import pytest
@@ -22,8 +24,15 @@ from hypothesis import strategies as st
 from repro.builder import NetworkBuilder
 from repro.config import ScenarioConfig
 from repro.scenariospec import ScenarioSpec
-from repro.sim.event import EventQueue
+from repro.sim.event import SIG_END, SIG_START, EdgeBatch, EventQueue
 from repro.sim.kernel import Simulator
+from tests.sim.fanout import (
+    Frame,
+    Receiver,
+    columns,
+    schedule_fanout,
+    schedule_one_by_one,
+)
 
 # ---------------------------------------------------------------------------
 # Property: queue-level dispatch order under schedule/cancel/compaction
@@ -159,20 +168,45 @@ def test_all_kernel_variants_dispatch_identically(initial, plan, horizon):
 # Property: edge batches dispatch like the schedule() calls they replace
 # ---------------------------------------------------------------------------
 
-#: A small delay menu, so edges and events keep colliding on time.
-_delays = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+#: A small delay menu, so edges and events keep colliding on time.  The
+#: next float above 0.25 rounds to a tie with it once added to a clock of 1
+#: or more, which the batch's order proof must catch.
+_delays = st.sampled_from([0.0, 0.25, math.nextafter(0.25, 1.0), 0.5, 1.0])
+#: Frame airtimes: most outlast a fan-out's delay spread, some do not.
+_durations = st.sampled_from([0.25, 1.0, 1.25, 2.0, 3.0])
 _prios = st.integers(min_value=0, max_value=1)
-#: What the set-up or a fired item does: schedule an event, schedule a batch
-#: of edges, cancel an earlier event, compact the queue, or stop the run.
+#: What the set-up or a fired item does: schedule an event, fan out a frame
+#: to receivers at the given delays (in attach order), cancel an earlier
+#: event, compact the queue, stop the run, or raise from the handler.
 _actions = st.one_of(
     st.tuples(st.just("event"), _delays, _prios),
     st.tuples(
-        st.just("batch"), st.lists(st.tuples(_delays, _prios), min_size=1, max_size=6)
+        st.just("fanout"), st.lists(_delays, min_size=1, max_size=6), _durations
     ),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
     st.tuples(st.just("compact")),
     st.tuples(st.just("stop")),
+    st.tuples(st.just("raise")),
 )
+
+
+class _Boom(Exception):
+    """Raised by a scripted handler."""
+
+
+class _Edges:
+    """A receiver whose leading and trailing edge are two script items."""
+
+    def __init__(self, script: "_BatchScript", start: int, end: int) -> None:
+        self.script = script
+        self.start = start
+        self.end = end
+
+    def signal_start(self, frame, power) -> None:
+        self.script.fire(self.start, power)
+
+    def signal_end(self, frame_id) -> None:
+        self.script.fire(self.end, frame_id)
 
 
 class _BatchScript:
@@ -182,7 +216,7 @@ class _BatchScript:
         self.sim = sim
         self.plan = plan  # item id -> actions run when that item fires
         self.batched = batched
-        self.fired: list[tuple[float, int]] = []
+        self.fired: list[tuple[float, int, object]] = []
         #: ``(events_executed, pending_events)`` as each item's handler
         #: reads them (the fused loop counts a batch run's edges late).
         self.counters: list[tuple[int, int]] = []
@@ -190,6 +224,7 @@ class _BatchScript:
         self.events: list = []  # the cancellable ones, in creation order
         self.ids = 0
         self.stop_requested = False
+        self.raised = 0
 
     def _new_id(self) -> int:
         self.ids += 1
@@ -201,33 +236,35 @@ class _BatchScript:
         for action in actions:
             kind = action[0]
             if kind == "event":
-                args = (self._new_id(),)
+                args = (self._new_id(), None)
                 self.events.append(
                     sim.schedule(now + action[1], self.fire, action[2], "event", args)
                 )
-            elif kind == "batch":
-                items = [(now + d, p, self._new_id()) for d, p in action[1]]
-                self.edge_ids.update(i for _, _, i in items)
+            elif kind == "fanout":
+                rows = []
+                for delay in action[1]:
+                    rx = _Edges(self, self._new_id(), self._new_id())
+                    self.edge_ids.update((rx.start, rx.end))
+                    rows.append((rx, float(rx.start), delay))
+                frame = Frame(action[2], frame_id=self.ids)
                 if self.batched:
-                    seq = sim.next_seq
-                    sim.schedule_edges([
-                        (t, p, seq + k, self.fire, (i,), "edge")
-                        for k, (t, p, i) in enumerate(items)
-                    ])
+                    schedule_fanout(sim, rows, frame)
                 else:
-                    for t, p, i in items:
-                        sim.schedule(t, self.fire, p, "edge", (i,))
+                    schedule_one_by_one(sim, rows, frame)
             elif kind == "cancel":
                 if self.events:
                     self.events[action[1] % len(self.events)].cancel()
             elif kind == "compact":
                 sim._queue.compact()
-            else:
+            elif kind == "stop":
                 self.stop_requested = True
                 sim.stop()
+            else:
+                self.raised += 1
+                raise _Boom
 
-    def fire(self, ident: int):
-        self.fired.append((self.sim.now, ident))
+    def fire(self, ident: int, arg):
+        self.fired.append((self.sim.now, ident, arg))
         self.counters.append((self.sim.events_executed, self.sim.pending_events))
         self.act(self.plan.get(ident, ()))
 
@@ -238,54 +275,123 @@ def _drive(mode: str, root, plan, horizons):
     if mode == "profiled":
         sim.enable_profiling()
     script = _BatchScript(sim, plan, batched=mode != "unbatched")
-    script.act(root)
+    try:
+        script.act(root)
+    except _Boom:
+        script.raised = 0  # raised by the set-up, not by a handler
     for horizon in horizons:
-        if mode != "step":
-            sim.run_until(horizon)
-            continue
-        # run_until's contract, one step() at a time: stop() ends the slice
-        # with the clock at the stopping item, else the clock reaches the
-        # horizon (run_until below has nothing left to dispatch).
-        script.stop_requested = False
-        while not script.stop_requested:
-            nxt = sim._queue.peek_time()
-            if nxt is None or nxt > horizon:
+        try:
+            if mode != "step":
                 sim.run_until(horizon)
-                break
-            sim.step()
+                continue
+            # run_until's contract, one step() at a time: stop() ends the
+            # slice with the clock at the stopping item, else the clock
+            # reaches the horizon (run_until below has nothing left to
+            # dispatch).
+            script.stop_requested = False
+            while not script.stop_requested:
+                nxt = sim._queue.peek_time()
+                if nxt is None or nxt > horizon:
+                    sim.run_until(horizon)
+                    break
+                sim.step()
+        except _Boom:
+            pass  # a handler raised: the slice ends there, as in run_until
     if mode == "profiled":
+        # A handler that raised is not timed, so not filed.
         calls = {kind: cell[0] for kind, cell in sim.profile.items()}
-        assert sum(calls.values()) == sim.events_executed
-        edges = sum(1 for _, ident in script.fired if ident in script.edge_ids)
-        assert calls.get("edge", 0) == edges
+        assert sum(calls.values()) == sim.events_executed - script.raised
+        edges = sum(1 for _, ident, _ in script.fired if ident in script.edge_ids)
+        assert calls.get(SIG_START, 0) + calls.get(SIG_END, 0) <= edges
     return (
         script.fired, script.counters, sim.events_executed, sim.now,
         sim.pending_events,
     )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     root=st.lists(_actions, min_size=1, max_size=5),
     plan=st.dictionaries(
-        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=40),
         st.lists(_actions, max_size=4),
-        max_size=20,
+        max_size=24,
     ),
     horizons=st.lists(
-        st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0]),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 3.0, 10.0]),
         min_size=1,
         max_size=4,
     ).map(sorted),
 )
 def test_edge_batches_dispatch_like_individual_events(root, plan, horizons):
-    """Fused, reference, profiled and step() runs of a script with edge
-    batches fire what the same items fire as individual schedule() calls:
-    same sequence, events_executed, now and pending_events, also as read
-    by every handler."""
+    """Fused, reference, profiled and step() runs of a script with fan-outs
+    fire what the same edges fire as individual schedule() calls: same
+    sequence, events_executed, now and pending_events, also as read by
+    every handler, with events, cancellation, compaction, stop() and
+    raising handlers mixed in."""
     want = _drive("unbatched", root, plan, horizons)
     for mode in ("fused", "reference", "profiled", "step"):
         assert _drive(mode, root, plan, horizons) == want, mode
+
+
+_MODES = ("fused", "reference", "profiled", "step")
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize(
+    "action, item",
+    [("stop", 2), ("stop", 3), ("raise", 2), ("raise", 3)],
+    ids=["stop-leading", "stop-trailing", "raise-leading", "raise-trailing"],
+)
+def test_a_batch_run_cut_short_resumes_in_order(mode, action, item):
+    """A stop() or a raising handler in the middle of either phase of a
+    batch ends the slice after that edge; the next slices fire the rest in
+    order, with an event due between two of its edges."""
+    # Receiver r (attach order) owns items 2r (start) and 2r + 1 (end);
+    # the event is item 6 at t = 2.5: it ties with the second end, whose
+    # lower seq fires first, and precedes the third.
+    root = [("fanout", [0.0, 0.25, 0.5], 2.25), ("event", 2.5, 0)]
+    plan = {item: [(action,)]}
+    horizons = [1.0, 2.3, 10.0, 10.0]
+    want = _drive("unbatched", root, plan, horizons)
+    assert [ident for _, ident, _ in want[0]] == [0, 2, 4, 1, 3, 6, 5]
+    assert _drive(mode, root, plan, horizons) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    delays=st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1e-5),
+            st.sampled_from([1e-6, math.nextafter(1e-6, 1.0), 2e-6]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    now=st.one_of(
+        st.floats(min_value=0.0, max_value=1e4), st.sampled_from([0.0, 1.0, 400.0])
+    ),
+    duration=st.floats(min_value=1e-7, max_value=1e-2),
+)
+def test_a_batch_fires_in_key_order(delays, now, duration):
+    """Whenever the kernel takes a fan-out as one batch, its column order is
+    the ``(time, priority, seq)`` order of the edges it stands for."""
+    sim = Simulator()
+    sim.schedule(now, lambda: None)
+    sim.run_until(now)
+    log: list = []
+    rows = [
+        (Receiver(sim, k, log), 1.0, delay) for k, delay in enumerate(delays)
+    ]
+    cols = columns(rows)
+    schedule_fanout(sim, rows, Frame(duration))
+    head = sim._queue._heap[0][3]
+    if head.__class__ is not EdgeBatch:
+        return  # unprovable: the one-by-one calls themselves
+    keys = [head.key(i) for i in range(2 * len(rows))]
+    assert keys == sorted(keys)
+    assert keys[0] == sim._queue._heap[0][:3]
+    assert cols[4] > 0.0
 
 
 # ---------------------------------------------------------------------------
