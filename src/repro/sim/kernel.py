@@ -56,7 +56,7 @@ from math import isnan
 from time import perf_counter
 from typing import Any, Callable, Iterator
 
-from repro.sim.event import SIG_END, SIG_START, EdgeBatch, Event, EventQueue
+from repro.sim.event import EdgeBatch, Event, EventQueue
 
 
 class SimulationError(RuntimeError):
@@ -277,13 +277,15 @@ class Simulator:
             q._seq = seq + n + n
             q._live += n + n
             return
+        # The same edges, one schedule() call each in attach order: the
+        # calls take exactly the seqs the batch's keys would have.
+        batch = EdgeBatch(cols, now, duration, frame, self._queue._seq)
         schedule = self.schedule
-        end_args = (frame.frame_id,)
         for j in sorted(range(n), key=ks.__getitem__):
-            rx = radios[j]
-            t = now + delays[j]
-            schedule(t, rx.signal_start, 1, SIG_START, (frame, powers[j]))
-            schedule(t + duration, rx.signal_end, 0, SIG_END, end_args)
+            for i in (j, n + j):
+                t, priority, _ = batch.key(i)
+                fn, args, label = batch.edge(i)
+                schedule(t, fn, priority, label, args)
 
     def cancel(self, event: Event | None) -> None:
         """Cancel a previously scheduled event (no-op on None / already done).

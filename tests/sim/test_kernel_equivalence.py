@@ -225,6 +225,8 @@ class _BatchScript:
         self.ids = 0
         self.stop_requested = False
         self.raised = 0
+        #: Raises by handlers of edges (a subset of ``raised``).
+        self.raised_edges = 0
 
     def _new_id(self) -> int:
         self.ids += 1
@@ -266,7 +268,12 @@ class _BatchScript:
     def fire(self, ident: int, arg):
         self.fired.append((self.sim.now, ident, arg))
         self.counters.append((self.sim.events_executed, self.sim.pending_events))
-        self.act(self.plan.get(ident, ()))
+        try:
+            self.act(self.plan.get(ident, ()))
+        except _Boom:
+            if ident in self.edge_ids:
+                self.raised_edges += 1
+            raise
 
 
 def _drive(mode: str, root, plan, horizons):
@@ -302,7 +309,13 @@ def _drive(mode: str, root, plan, horizons):
         calls = {kind: cell[0] for kind, cell in sim.profile.items()}
         assert sum(calls.values()) == sim.events_executed - script.raised
         edges = sum(1 for _, ident, _ in script.fired if ident in script.edge_ids)
-        assert calls.get(SIG_START, 0) + calls.get(SIG_END, 0) <= edges
+        events = len(script.fired) - edges
+        raised_events = script.raised - script.raised_edges
+        assert (
+            calls.get(SIG_START, 0) + calls.get(SIG_END, 0)
+            == edges - script.raised_edges
+        )
+        assert calls.get("event", 0) == events - raised_events
     return (
         script.fired, script.counters, sim.events_executed, sim.now,
         sim.pending_events,
