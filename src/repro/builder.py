@@ -127,7 +127,8 @@ class ObservabilityPlan:
     probe_interval_s: float = 0.0
     #: Gauges to sample (empty = every registered gauge).
     gauges: tuple[str, ...] = ()
-    #: Enable the kernel's per-event-kind wall-clock profiler.
+    #: Sample the run's CPU time by layer and root handler
+    #: (:class:`~repro.obs.profile.Sampler`).
     profile: bool = False
 
 
@@ -353,7 +354,7 @@ class NetworkBuilder:
         return resolved
 
     def _apply_observability(self, ctx: BuildContext) -> None:
-        """Configure tracing and profiling from a non-null observability plan.
+        """Configure tracing from a non-null observability plan.
 
         Runs before any radio/MAC/node binds its trace handles, so a tracer
         created here is the one every layer records into.  The process-wide
@@ -372,8 +373,6 @@ class NetworkBuilder:
                 ctx.tracer.enable(*plan.trace_categories)
                 if plan.max_records:
                     ctx.tracer.max_records = plan.max_records
-        if plan.profile:
-            ctx.sim.enable_profiling()
 
     # ----------------------------------------------------------------- build
 
@@ -517,6 +516,10 @@ class NetworkBuilder:
         sources = traffic_entry.factory(ctx, nodes, pairs, **traffic_params)
 
         extras: dict[str, Any] = {}
+        if ctx.obs_plan is not None and ctx.obs_plan.profile:
+            from repro.obs.profile import Sampler
+
+            extras["profiler"] = Sampler()
         if ctx.obs_plan is not None and ctx.obs_plan.probe_interval_s > 0:
             from repro.obs.probes import GaugeSampler
 

@@ -16,8 +16,8 @@ Experiments:
 * ``trace`` — run one declarative scenario with tracing on and export the
   event stream as JSONL (``--out``), with per-category filters
 * ``stats`` — run one declarative scenario with periodic probes and print
-  per-gauge time-series tables (``--profile`` adds the kernel's per-event-kind
-  wall-clock attribution)
+  per-gauge time-series tables (``--profile`` adds the run's CPU time by
+  layer and root handler, sampled)
 * ``campaign`` — a protocol × load × seed grid through the parallel
   campaign runner, with an optional content-addressed result store;
   ``--live`` streams a per-cell progress line (events/sec, ETA, peak RSS)
@@ -179,8 +179,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     st.add_argument("--node", type=int, default=-1,
                     help="per-node drill-down for --gauges' first gauge")
     st.add_argument("--profile", action="store_true",
-                    help="also enable kernel self-profiling and print the "
-                         "per-event-kind wall-clock table")
+                    help="also sample the run's CPU time and print it per "
+                         "layer and per root handler")
 
     c = sub.add_parser(
         "campaign",

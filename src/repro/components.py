@@ -446,8 +446,8 @@ def _probes_observability(ctx: BuildContext, interval_s: float, gauges):
         Param("max_records", int, 0),
         Param("profile", bool, True),
     ),
-    doc="the full flight recorder: probes + trace recording + kernel "
-        "self-profiling in one component",
+    doc="the full flight recorder: probes + trace recording + sampled "
+        "CPU attribution by layer in one component",
 )
 def _flight_observability(
     ctx: BuildContext,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -120,8 +121,9 @@ class ExperimentResult:
     #: Periodic per-node gauge samples, present only when the scenario ran
     #: with a probing ``observability`` component (``probes`` / ``flight``).
     timeseries: TimeSeries | None = None
-    #: Kernel self-profiling attribution, present only when the scenario
-    #: ran with profiling enabled (``flight`` observability).
+    #: Sampled CPU attribution by layer and root handler, present only
+    #: when the scenario ran with profiling enabled (``flight``
+    #: observability).
     profile: ProfileReport | None = None
     #: Delivery-under-faults curves and per-crash reaction times, present
     #: only when the scenario ran with a non-null ``faults`` component.
@@ -172,8 +174,10 @@ class BuiltNetwork:
                 f"ends at or before the measurement start {start!r} "
                 "(traffic.start_time_s unless measure_from is given)"
             )
+        profiler = self.extras.get("profiler")
         t0 = time.perf_counter()
-        self.sim.run_until(self.cfg.duration_s)
+        with profiler or nullcontext():
+            self.sim.run_until(self.cfg.duration_s)
         wall = time.perf_counter() - t0
         if self.tracer.dropped:
             warnings.warn(
@@ -203,7 +207,7 @@ class BuiltNetwork:
             energy = EnergyReport.from_ledgers(model, ledgers)
         sampler = self.extras.get("sampler")
         timeseries = sampler.timeseries() if sampler is not None else None
-        profile = ProfileReport.from_sim(self.sim)
+        profile = profiler.report(self.sim.events_executed) if profiler else None
         monitor = self.extras.get("resilience")
         resilience = monitor.report() if monitor is not None else None
         per_flow = self.metrics.per_flow_throughput_kbps(window)

@@ -14,8 +14,9 @@ event-schedule bit-identical, guarded by
   (:class:`~repro.obs.probes.GaugeSampler`) into a columnar
   :class:`~repro.obs.probes.TimeSeries` that rides
   ``ExperimentResult.timeseries`` through the campaign store.
-* :mod:`repro.obs.profile` — wall-clock attribution per event-handler kind
-  from the kernel's opt-in profiled loop, rendered as a
+* :mod:`repro.obs.profile` — CPU attribution per layer and per root event
+  handler, sampled by a ``SIGPROF`` timer around the run
+  (:class:`~repro.obs.profile.Sampler`) and rendered as a
   :class:`~repro.obs.profile.ProfileReport`.
 * :mod:`repro.obs.telemetry` — live per-run progress
   (:class:`~repro.obs.telemetry.RunProgress`) streamed from campaign
@@ -28,7 +29,7 @@ wall clocks, or cross-process concerns.
 """
 
 from repro.obs.probes import DEFAULT_GAUGES, GaugeSampler, TimeSeries
-from repro.obs.profile import ProfileEntry, ProfileReport
+from repro.obs.profile import ProfileReport, ProfileRow, Sampler
 from repro.obs.sinks import JsonlSink, TraceSink
 from repro.obs.telemetry import RunProgress, run_with_heartbeat
 
@@ -36,9 +37,10 @@ __all__ = [
     "DEFAULT_GAUGES",
     "GaugeSampler",
     "JsonlSink",
-    "ProfileEntry",
     "ProfileReport",
+    "ProfileRow",
     "RunProgress",
+    "Sampler",
     "TimeSeries",
     "TraceSink",
     "run_with_heartbeat",

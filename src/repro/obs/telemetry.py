@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -119,9 +120,11 @@ def run_with_heartbeat(
     net = spec.scenario.build()
     duration = net.cfg.duration_s
     sim = net.sim
+    profiler = net.extras.get("profiler") or nullcontext()
     t0 = time.perf_counter()
     for i in range(1, slices + 1):
-        sim.run_until(min(duration, duration * i / slices))
+        with profiler:
+            sim.run_until(min(duration, duration * i / slices))
         emit(
             RunProgress(
                 key=key,

@@ -106,7 +106,7 @@ class Event:
         return f"Event(t={self.time!r}, {self.label or 'anon'}, {state})"
 
 
-#: Event labels of a signal's leading and trailing edge (profiler buckets).
+#: Event labels of a signal's leading and trailing edge.
 SIG_START = "phy.sig_start"
 SIG_END = "phy.sig_end"
 
@@ -237,10 +237,10 @@ class EventQueue:
     """A binary-heap priority queue of :class:`Event` objects.
 
     The heap also holds :class:`EdgeBatch` entries, pushed by
-    :meth:`repro.sim.kernel.Simulator.schedule_fanout`.  :meth:`pop` and
-    :meth:`pop_next` return such a batch with its entry removed and its next
-    edge already counted out of ``len``; the caller fires that one edge and
-    re-queues the rest.  ``len`` counts every unfired edge as one event.
+    :meth:`repro.sim.kernel.Simulator.schedule_fanout`.  :meth:`pop`
+    returns such a batch with its entry removed and its next edge already
+    counted out of ``len``; the caller fires that one edge and re-queues the
+    rest.  ``len`` counts every unfired edge as one event.
     """
 
     __slots__ = ("_heap", "_seq", "_live", "_dead")
@@ -280,30 +280,6 @@ class EventQueue:
             if _is_dead(item):
                 self._dead -= 1
                 continue
-            self._live -= 1
-            return item
-        return None
-
-    def pop_next(self, end_time: float) -> Event | EdgeBatch | None:
-        """Fused peek+pop: the earliest live event with ``time <= end_time``.
-
-        Returns None when the queue is drained or the next live event lies
-        beyond ``end_time`` (which is then left in the heap).  One heap
-        traversal replaces the historical ``peek_time()`` + ``pop()`` pair
-        on the kernel's hot loop; cancelled entries encountered on the way
-        are discarded exactly as :meth:`pop` would.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            item = entry[3]
-            if _is_dead(item):
-                heapq.heappop(heap)
-                self._dead -= 1
-                continue
-            if entry[0] > end_time:
-                return None
-            heapq.heappop(heap)
             self._live -= 1
             return item
         return None

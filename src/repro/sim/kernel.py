@@ -10,9 +10,8 @@ MAC / routing layers, which interact with the kernel only through
 advance clock, call handler) free of indirection, which matters: a full
 paper-scale run executes tens of millions of events.  Profiling (per the
 optimisation guide: measure first) showed the heap operations and handler
-dispatch dominate, so the hot loop is *fused*:
-:meth:`~repro.sim.event.EventQueue.pop_next` folds the historical
-``peek_time()`` + ``pop()`` pair into a single heap traversal, and
+dispatch dominate, so the hot loop is *fused*: it folds the historical
+``peek_time()`` + ``pop()`` pair into one traversal of the raw heap, and
 :meth:`schedule` / :meth:`schedule_in` inline the queue push (one C-level
 heap operation per event instead of two Python frames).
 
@@ -53,7 +52,6 @@ import gc
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from math import isnan
-from time import perf_counter
 from typing import Any, Callable, Iterator
 
 from repro.sim.event import EdgeBatch, Event, EventQueue
@@ -108,7 +106,6 @@ class Simulator:
         "_events_executed",
         "_stopped",
         "_fused",
-        "_profile",
         "_batch_run",
     )
 
@@ -119,7 +116,6 @@ class Simulator:
         self._stopped = False
         self._events_executed = 0
         self._fused = fused
-        self._profile: dict[str, list] | None = None
         #: ``(batch, first)`` while the fused loop fires a run of ``batch``'s
         #: edges from index ``first``; it counts them when the run ends.
         self._batch_run: tuple[EdgeBatch, int] | None = None
@@ -147,29 +143,6 @@ class Simulator:
         ends."""
         run = self._batch_run
         return 0 if run is None else run[0].pos - run[1]
-
-    @property
-    def fused(self) -> bool:
-        """Whether :meth:`run_until` uses the fused hot loop."""
-        return self._fused
-
-    # -- self-profiling ------------------------------------------------------
-
-    def enable_profiling(self) -> None:
-        """Switch :meth:`run_until` to the self-timing loop.
-
-        Accumulates wall-clock time per event kind (the schedule ``label``,
-        falling back to the handler's qualified name).  Dispatch order and
-        ``events_executed`` are identical to the normal loops — only wall
-        time changes, so profiling must stay off for benchmark runs.
-        """
-        if self._profile is None:
-            self._profile = {}
-
-    @property
-    def profile(self) -> dict[str, list] | None:
-        """Raw ``{kind: [calls, cumulative_seconds]}`` data, or None if off."""
-        return self._profile
 
     # -- scheduling ----------------------------------------------------------
 
@@ -241,9 +214,8 @@ class Simulator:
         the seq the one-by-one :meth:`schedule` calls for the receivers in
         attach order would give it: start ``k``, end ``k + 1`` past the
         next seq.  Dispatch is so identical: same order, ``now`` set to
-        each edge's time, one ``events_executed`` and one
-        ``pending_events`` per edge, and the profiler attributes each edge
-        to its label.
+        each edge's time, and one ``events_executed`` and one
+        ``pending_events`` per edge.
 
         When the columns' order is provably the edges' key order, they go
         behind one :class:`~repro.sim.event.EdgeBatch` heap entry and no
@@ -320,9 +292,7 @@ class Simulator:
         self._stopped = False
         try:
             with collector_paused():
-                if self._profile is not None:
-                    self._run_profiled(end_time)
-                elif self._fused:
+                if self._fused:
                     self._run_fused(end_time)
                 else:
                     self._run_reference(end_time)
@@ -334,12 +304,13 @@ class Simulator:
             self._running = False
 
     def _run_fused(self, end_time: float) -> None:
-        """Hot loop: the ``pop_next`` traversal inlined over the raw heap.
+        """Hot loop: one traversal of the raw heap per event.
 
-        Semantically identical to calling :meth:`EventQueue.pop_next` per
-        event; inlining removes one Python frame per event, which profiling
-        showed is measurable at paper scale.  Queue bookkeeping (``_live`` /
-        ``_dead``) is maintained exactly as ``pop_next`` does.
+        Semantically identical to the reference loop's ``peek_time()`` +
+        ``pop()`` per event; working on the heap directly removes their
+        Python frames, which profiling showed is measurable at paper
+        scale.  Queue bookkeeping (``_live`` / ``_dead``) is maintained
+        exactly as :meth:`EventQueue.pop` does.
 
         A popped edge batch keeps firing edges straight from its columns
         while the next one sorts before the heap head, lies within
@@ -440,65 +411,29 @@ class Simulator:
             if self._stopped:
                 break
 
-    def _take_edge(self, batch: EdgeBatch) -> tuple:
-        """Advance to ``batch``'s next edge, re-queue the rest, return the
-        edge's ``(fn, args, label)``.
+    def _take(self, item: Event | EdgeBatch) -> tuple:
+        """Consume the popped ``item``'s next event or edge: set the clock,
+        count it, return its ``(fn, args)`` for the caller to fire.
 
-        The caller popped the batch (which counted the edge out of
-        ``pending_events``) and fires the returned edge.  Shared by the
-        reference loop, the profiled loop and :meth:`step`; the fused loop
-        inlines the same steps.
+        A batch goes back into the heap under its next edge, if any.  The
+        pop already counted the item out of ``pending_events``.  Shared by
+        the reference loop and :meth:`step`; the fused loop inlines the
+        same steps.
         """
-        i = batch.pos
-        t = batch.key(i)[0]
-        batch.pos = i + 1
-        if i + 1 < batch.n + batch.n:
-            heappush(self._queue._heap, (*batch.key(i + 1), batch))
-        self._now = t
         self._events_executed += 1
-        return batch.edge(i)
-
-    def _run_profiled(self, end_time: float) -> None:
-        """The fused loop with a ``perf_counter`` pair around each dispatch.
-
-        Same event order as :meth:`_run_fused`; attribution is keyed by the
-        schedule ``label`` (empty labels fall back to the handler's
-        ``__qualname__``), per edge for batched edges.  The timing overhead
-        is real wall time — results feed
-        :class:`repro.obs.profile.ProfileReport`, never benchmarks.
-        """
-        queue = self._queue
-        profile = self._profile
-        assert profile is not None
-        pop_next = queue.pop_next
-        while True:
-            ev = pop_next(end_time)
-            if ev is None:
-                break
-            if ev.__class__ is EdgeBatch:
-                fn, args, label = self._take_edge(ev)
-            else:
-                self._now = ev.time
-                fn = ev.fn
-                ev.fn = None
-                self._events_executed += 1
-                args = ev.args
-                label = ev.label
-            kind = label or getattr(fn, "__qualname__", "") or type(fn).__name__
-            t0 = perf_counter()
-            if args is None:
-                fn()
-            else:
-                fn(*args)
-            dt = perf_counter() - t0
-            cell = profile.get(kind)
-            if cell is None:
-                profile[kind] = [1, dt]
-            else:
-                cell[0] += 1
-                cell[1] += dt
-            if self._stopped:
-                break
+        if item.__class__ is EdgeBatch:
+            i = item.pos
+            self._now = item.key(i)[0]
+            item.pos = i + 1
+            if i + 1 < item.n + item.n:
+                heappush(self._queue._heap, (*item.key(i + 1), item))
+            fn, args, _ = item.edge(i)
+            return fn, args
+        fn = item.fn
+        assert fn is not None
+        self._now = item.time
+        item.fn = None  # mark consumed; cheap guard against re-fire
+        return fn, item.args or ()
 
     def _run_reference(self, end_time: float) -> None:
         """The pre-fusion loop (peek, compare, pop) — the dispatch oracle.
@@ -506,27 +441,12 @@ class Simulator:
         Edge batches fire one edge per iteration, like events.
         """
         queue = self._queue
-        while True:
-            if self._stopped:
-                break
+        while not self._stopped:
             nxt = queue.peek_time()
             if nxt is None or nxt > end_time:
                 break
-            ev = queue.pop()
-            if ev.__class__ is EdgeBatch:
-                fn, args, _ = self._take_edge(ev)
-                fn(*args)
-                continue
-            assert ev is not None and ev.fn is not None
-            self._now = ev.time
-            fn = ev.fn
-            ev.fn = None
-            self._events_executed += 1
-            args = ev.args
-            if args is None:
-                fn()
-            else:
-                fn(*args)
+            fn, args = self._take(queue.pop())
+            fn(*args)
 
     def step(self) -> bool:
         """Dispatch exactly one event.  Returns False if the queue is empty.
@@ -537,23 +457,11 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("step() inside run_until — simulator is not reentrant")
-        ev = self._queue.pop()
-        if ev is None:
+        item = self._queue.pop()
+        if item is None:
             return False
-        if ev.__class__ is EdgeBatch:
-            fn, args, _ = self._take_edge(ev)
-            fn(*args)
-            return True
-        assert ev.fn is not None
-        self._now = ev.time
-        fn = ev.fn
-        ev.fn = None
-        self._events_executed += 1
-        args = ev.args
-        if args is None:
-            fn()
-        else:
-            fn(*args)
+        fn, args = self._take(item)
+        fn(*args)
         return True
 
     def stop(self) -> None:

@@ -76,10 +76,19 @@ class ChaosResilience(Study):
 
     def scenario(self, protocol, cfg):
         # The victim pool excludes the seed's flow endpoints (the builder's
-        # own draw), so every crash hits a relay.
+        # own draw), so every crash hits a relay.  A small grid can leave
+        # too few relays: refuse it here, before any cell runs.
         pairs = pick_flow_pairs(
             RngRegistry(cfg.seed), cfg.node_count, cfg.traffic.flow_count
         )
+        endpoints = {n for pair in pairs for n in pair}
+        relays = cfg.node_count - len(endpoints)
+        if self.crashes_per_run > relays:
+            raise ValueError(
+                f"{self.name}: seed {cfg.seed} leaves {relays} relay(s) outside "
+                f"the flow endpoints of {cfg.node_count} nodes, too few for "
+                f"crashes_per_run={self.crashes_per_run}"
+            )
         return ScenarioSpec(
             cfg=cfg,
             mac=ComponentSpec(protocol),
@@ -89,7 +98,7 @@ class ChaosResilience(Study):
                 window_start_s=cfg.duration_s * CRASH_WINDOW[0],
                 window_end_s=cfg.duration_s * CRASH_WINDOW[1],
                 downtime_s=self.downtime_s,
-                exclude=tuple(sorted({n for pair in pairs for n in pair})),
+                exclude=tuple(sorted(endpoints)),
             ),
         )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -61,6 +62,35 @@ class TestSerialisation:
         payload.pop("flows")
         rebuilt = result_from_dict(payload)
         assert rebuilt.flows == ()
+
+    def test_line_with_the_per_label_profile_loads(self):
+        """A line stored by the per-label profiler: its entries load as
+        root-handler rows with their seconds, and no layer rows."""
+        line = (
+            '{"protocol": "basic", "offered_load_kbps": 50.0, "duration_s": 1.0, '
+            '"throughput_kbps": 12.5, "avg_delay_ms": 3.25, "delivery_ratio": 0.5, '
+            '"fairness": 0.9, "sent": 10, "received": 5, '
+            '"drops": {"ifq": 2, "retry": 3}, "mac_totals": {"rts_sent": 9.0}, '
+            '"routing_totals": {"rreq": 4}, "events_executed": 1234, '
+            '"wallclock_s": 0.01, "seed": 1, "flows": [{"flow_id": 0, "sent": 5, '
+            '"received": 3, "delivery_ratio": 0.6, "throughput_kbps": 6.0, '
+            '"avg_delay_ms": 2.0}, {"flow_id": 1, "sent": 5, "received": 2, '
+            '"delivery_ratio": 0.4, "throughput_kbps": 6.5, "avg_delay_ms": 4.5}], '
+            '"energy": null, "timeseries": null, "profile": {"total_events": 1234, '
+            '"attributed_s": 0.5, "entries": [{"kind": "phy.sig_end", "calls": 700, '
+            '"cum_s": 0.375}, {"kind": "mac.access", "calls": 534, "cum_s": 0.125}]}, '
+            '"resilience": null}'
+        )
+        rebuilt = result_from_dict(json.loads(line))
+        assert replace(rebuilt, profile=None) == make_result()
+        profile = rebuilt.profile
+        assert (profile.total_events, profile.samples, profile.cpu_s) == (1234, 0, 0.5)
+        assert profile.layers == ()
+        assert [(r.name, r.samples, r.share, r.seconds) for r in profile.handlers] == [
+            ("phy.sig_end", 0, 0.75, 0.375), ("mac.access", 0, 0.25, 0.125)
+        ]
+        # It stores back in the current shape and loads unchanged.
+        assert result_from_dict(json.loads(json.dumps(result_to_dict(rebuilt)))) == rebuilt
 
 
 class TestResultStore:

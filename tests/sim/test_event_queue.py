@@ -45,47 +45,6 @@ class TestOrdering:
         assert popped == sorted(times)
 
 
-class TestPopNext:
-    """The fused peek+pop traversal must behave exactly like the pair."""
-
-    def test_pop_next_respects_horizon(self):
-        q = EventQueue()
-        q.push(1.0, lambda: None, label="a")
-        q.push(3.0, lambda: None, label="b")
-        assert q.pop_next(2.0).label == "a"
-        assert q.pop_next(2.0) is None
-        assert len(q) == 1  # "b" untouched
-        assert q.pop_next(5.0).label == "b"
-        assert q.pop_next(5.0) is None
-
-    def test_pop_next_skips_cancelled(self):
-        q = EventQueue()
-        ev = q.push(1.0, lambda: None, label="dead")
-        q.push(1.5, lambda: None, label="live")
-        ev.cancel()
-        assert q.pop_next(2.0).label == "live"
-
-    def test_pop_next_empty_queue(self):
-        assert EventQueue().pop_next(10.0) is None
-
-    def test_pop_next_matches_peek_pop_pair(self):
-        mk = lambda: [  # noqa: E731 - local table
-            (0.5, "a"), (2.0, "b"), (2.0, "c"), (7.0, "d")
-        ]
-        fused, paired = EventQueue(), EventQueue()
-        for t, lbl in mk():
-            fused.push(t, lambda: None, label=lbl)
-            paired.push(t, lambda: None, label=lbl)
-        horizon = 2.0
-        got_fused = []
-        while (ev := fused.pop_next(horizon)) is not None:
-            got_fused.append(ev.label)
-        got_paired = []
-        while (nxt := paired.peek_time()) is not None and nxt <= horizon:
-            got_paired.append(paired.pop().label)
-        assert got_fused == got_paired == ["a", "b", "c"]
-
-
 class TestCancellation:
     def test_cancelled_event_is_skipped(self):
         q = EventQueue()

@@ -348,13 +348,6 @@ class TestCollectorPause:
         assert seen == [False, False, False]
         assert gc.isenabled()
 
-    def test_profiled_handlers_run_with_the_collector_paused(self, sim):
-        sim.enable_profiling()
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
-        sim.run_until(5.0)
-        assert seen == [False] and gc.isenabled()
-
     def test_restored_after_stop(self, sim):
         sim.schedule(1.0, sim.stop)
         sim.schedule(2.0, lambda: None)

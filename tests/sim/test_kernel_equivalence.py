@@ -1,7 +1,7 @@
 """Fused vs reference kernel: exact equivalence.
 
-The fused hot loop (``EventQueue.pop_next`` inside ``Simulator(fused=True)``)
-must dispatch the *exact* event sequence of the reference peek-then-pop loop
+The fused hot loop (``Simulator(fused=True)``, one traversal of the raw
+heap per event) must dispatch the *exact* event sequence of the reference peek-then-pop loop
 — same ``(time, priority, seq)`` total order, same ``events_executed`` —
 under any interleaving of scheduling, cancellation and heap compaction.
 These tests drive both loops with identical scripts (including handlers
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.builder import NetworkBuilder
 from repro.config import ScenarioConfig
 from repro.scenariospec import ScenarioSpec
-from repro.sim.event import SIG_END, SIG_START, EdgeBatch, EventQueue
+from repro.sim.event import EdgeBatch, EventQueue
 from repro.sim.kernel import Simulator
 from tests.sim.fanout import (
     Frame,
@@ -80,7 +80,7 @@ class TestQueueDispatchOrder:
         pushed = _apply(plain, ops, compaction=False)
 
         got = []
-        while (ev := compacted.pop_next(float("inf"))) is not None:
+        while (ev := compacted.pop()) is not None:
             got.append((ev.time, ev.priority, ev.seq, ev.label))
         want = []
         while (ev := plain.pop()) is not None:
@@ -220,13 +220,9 @@ class _BatchScript:
         #: ``(events_executed, pending_events)`` as each item's handler
         #: reads them (the fused loop counts a batch run's edges late).
         self.counters: list[tuple[int, int]] = []
-        self.edge_ids: set[int] = set()
         self.events: list = []  # the cancellable ones, in creation order
         self.ids = 0
         self.stop_requested = False
-        self.raised = 0
-        #: Raises by handlers of edges (a subset of ``raised``).
-        self.raised_edges = 0
 
     def _new_id(self) -> int:
         self.ids += 1
@@ -246,7 +242,6 @@ class _BatchScript:
                 rows = []
                 for delay in action[1]:
                     rx = _Edges(self, self._new_id(), self._new_id())
-                    self.edge_ids.update((rx.start, rx.end))
                     rows.append((rx, float(rx.start), delay))
                 frame = Frame(action[2], frame_id=self.ids)
                 if self.batched:
@@ -262,30 +257,26 @@ class _BatchScript:
                 self.stop_requested = True
                 sim.stop()
             else:
-                self.raised += 1
                 raise _Boom
 
     def fire(self, ident: int, arg):
         self.fired.append((self.sim.now, ident, arg))
         self.counters.append((self.sim.events_executed, self.sim.pending_events))
-        try:
-            self.act(self.plan.get(ident, ()))
-        except _Boom:
-            if ident in self.edge_ids:
-                self.raised_edges += 1
-            raise
+        self.act(self.plan.get(ident, ()))
+
+
+#: The dispatch modes compared with the unbatched run.
+_MODES = ("fused", "reference", "step")
 
 
 def _drive(mode: str, root, plan, horizons):
-    """One run in ``mode``: fused, reference, profiled, step or unbatched."""
+    """One run in ``mode``: fused, reference, step or unbatched."""
     sim = Simulator(fused=mode not in ("reference", "unbatched"))
-    if mode == "profiled":
-        sim.enable_profiling()
     script = _BatchScript(sim, plan, batched=mode != "unbatched")
     try:
         script.act(root)
     except _Boom:
-        script.raised = 0  # raised by the set-up, not by a handler
+        pass  # raised by the set-up: the scheduled items stay
     for horizon in horizons:
         try:
             if mode != "step":
@@ -304,18 +295,6 @@ def _drive(mode: str, root, plan, horizons):
                 sim.step()
         except _Boom:
             pass  # a handler raised: the slice ends there, as in run_until
-    if mode == "profiled":
-        # A handler that raised is not timed, so not filed.
-        calls = {kind: cell[0] for kind, cell in sim.profile.items()}
-        assert sum(calls.values()) == sim.events_executed - script.raised
-        edges = sum(1 for _, ident, _ in script.fired if ident in script.edge_ids)
-        events = len(script.fired) - edges
-        raised_events = script.raised - script.raised_edges
-        assert (
-            calls.get(SIG_START, 0) + calls.get(SIG_END, 0)
-            == edges - script.raised_edges
-        )
-        assert calls.get("event", 0) == events - raised_events
     return (
         script.fired, script.counters, sim.events_executed, sim.now,
         sim.pending_events,
@@ -337,17 +316,14 @@ def _drive(mode: str, root, plan, horizons):
     ).map(sorted),
 )
 def test_edge_batches_dispatch_like_individual_events(root, plan, horizons):
-    """Fused, reference, profiled and step() runs of a script with fan-outs
+    """Fused, reference and step() runs of a script with fan-outs
     fire what the same edges fire as individual schedule() calls: same
     sequence, events_executed, now and pending_events, also as read by
     every handler, with events, cancellation, compaction, stop() and
     raising handlers mixed in."""
     want = _drive("unbatched", root, plan, horizons)
-    for mode in ("fused", "reference", "profiled", "step"):
+    for mode in _MODES:
         assert _drive(mode, root, plan, horizons) == want, mode
-
-
-_MODES = ("fused", "reference", "profiled", "step")
 
 
 @pytest.mark.parametrize("mode", _MODES)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 
@@ -184,13 +185,14 @@ class TestScenarioFile:
                       "battery_j", "route_count", "rx_drops"):
             assert gauge in out
 
-    def test_stats_profile_prints_kernel_attribution(self, capsys):
+    def test_stats_profile_prints_the_layer_table(self, capsys):
         assert main(["stats", "--scenario", str(EXAMPLE_SPEC),
                      "--profile"]) == 0
         out = capsys.readouterr().out
         assert "observability: flight(" in out
-        assert "event kind" in out
-        assert "ev/s attributed" in out
+        assert re.search(r"^layer +samples +share +cpu \[s\]$", out, re.M)
+        assert re.search(r"^root handler +samples", out, re.M)
+        assert re.search(r"^total .* events\)$", out, re.M)
 
     def test_stats_node_drilldown(self, capsys):
         assert main(["stats", "--scenario", str(EXAMPLE_SPEC),

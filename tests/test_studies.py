@@ -116,6 +116,19 @@ def test_sinr_cells_without_typed_drops_fail_their_claim():
     ]
 
 
+def test_a_chaos_seed_without_relays_to_crash_is_refused_before_any_cell():
+    """At 8 nodes the ten flows' endpoints take every node of seed 1; the
+    grid is refused while its specs are made, naming the seed."""
+    small = replace(STUDIES["chaos_resilience"], nodes=8)
+    with pytest.raises(ValueError, match=r"seed 1 leaves 0 relay"):
+        replace(small, seeds=(1,)).specs()
+    with pytest.raises(ValueError, match=r"seed 1 leaves 0 relay"):
+        replace(small, seeds=(2, 1), crashes_per_run=1).specs()
+    # Seed 2 leaves one relay: enough for one crash per run.
+    specs = replace(small, seeds=(2,), crashes_per_run=1).specs()
+    assert [s.scenario.faults.params_dict["crash_count"] for s in specs] == [1, 1]
+
+
 @pytest.mark.parametrize("name", STUDIES)
 def test_render_matches_the_committed_experiments_section(name):
     study = STUDIES[name]
